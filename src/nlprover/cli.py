@@ -19,6 +19,7 @@ from pathlib import Path
 from .datagen import (
     GenConfig,
     GenerationStalledError,
+    Instance,
     extract_training_samples,
     generate,
     generate_nlsat,
@@ -55,6 +56,13 @@ def _load_lexicon(path: str | None) -> Lexicon:
         return load_lexicon(path)
     except (OSError, ValueError) as e:
         raise InputError(f"lexicon: {e}") from e
+
+
+def _read_instances(path: str) -> list[Instance]:
+    try:
+        return read_jsonl(path)
+    except (OSError, ValueError) as e:
+        raise InputError(str(e)) from e
 
 
 def _read_theory_file(path: str) -> list[str]:
@@ -132,7 +140,7 @@ def _judge_one(args):
 def cmd_prove(args) -> int:
     strategy = args.strategy.replace("-", "_")
     if args.instances:
-        instances = read_jsonl(args.instances)
+        instances = _read_instances(args.instances)
         work = [(instance_to_dict(i), args.budget, strategy) for i in instances]
         if args.jobs > 1 and len(work) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -229,12 +237,15 @@ def _load_predictions(path) -> dict[str, dict]:
         raw = Path(path).read_text()
     except OSError as e:
         raise InputError(str(e)) from e
-    for line in raw.splitlines():
+    for n, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        if "id" not in d or "predicted_label" not in d:
-            raise InputError("prediction records need 'id' and 'predicted_label'")
+        try:
+            d = json.loads(line)
+        except ValueError as e:
+            raise InputError(f"{path}:{n}: not JSON ({e})") from e
+        if not isinstance(d, dict) or "id" not in d or "predicted_label" not in d:
+            raise InputError(f"{path}:{n}: prediction records need 'id' and 'predicted_label'")
         out[d["id"]] = d
     return out
 
@@ -242,14 +253,19 @@ def _load_predictions(path) -> dict[str, dict]:
 def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
     preds = _load_predictions(pred_path)
     records = []
-    for inst in read_jsonl(gold_path):
+    for inst in _read_instances(gold_path):
         pred = preds.get(inst.id)
         if pred is None:
             raise InputError(f"no prediction for instance {inst.id}")
-        proof = [
-            ((s["premises_fol"][0], s["premises_fol"][1]), s["conclusion_fol"])
-            for s in pred.get("predicted_proof", [])
-        ]
+        try:
+            proof = [
+                ((s["premises_fol"][0], s["premises_fol"][1]), s["conclusion_fol"])
+                for s in pred.get("predicted_proof", [])
+            ]
+        except (KeyError, IndexError, TypeError) as e:
+            raise InputError(
+                f"{pred_path}: malformed predicted_proof for {inst.id} ({type(e).__name__}: {e})"
+            ) from e
         records.append(
             PredictionRecord(
                 instance_id=inst.id,
@@ -300,8 +316,18 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_common(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max reasoning steps per theory set")
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET, help="max reasoning steps per theory set")
     p.add_argument("--lexicon", help="lexicon file ([entities]/[attributes]/[relations] sections)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -330,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a labeled dataset with gold proofs")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_non_negative, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entities", type=int, default=4)
     p.add_argument("--attributes", type=int, default=6)

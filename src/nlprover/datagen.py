@@ -325,10 +325,17 @@ def write_jsonl(instances: Iterable[Instance], path) -> int:
 
 
 def read_jsonl(path) -> list[Instance]:
+    """Instances, one per non-blank line. A line that is not an instance
+    record raises ValueError naming the file and line number."""
     out = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.strip():
-            out.append(instance_from_dict(json.loads(line)))
+            try:
+                out.append(instance_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as e:
+                raise ValueError(
+                    f"{path}:{n}: not an instance record ({type(e).__name__}: {e})"
+                ) from e
     return out
 
 

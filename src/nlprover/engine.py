@@ -13,17 +13,24 @@ Two search modes share the same step recording:
 
 Either way steps_used reports reasoning steps: the found refutation's
 length under sos_linear, the accepted-resolvent count under unrestricted.
+
+A pair of clauses is resolved only when some literal of one has the same
+predicate as, and the opposite sign of, a literal of the other; the
+saturation pre-check finds such partners through a (predicate, polarity)
+index instead of scanning every stored clause.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .logic import (
     Clause,
+    Literal,
     Origin,
     Subst,
     Var,
@@ -82,7 +89,7 @@ class TheorySet:
         if is_tautology(c):
             return None, False
         if origin is not None:
-            c = replace(c, origin=origin)
+            c = Clause(c.literals, origin, c.id)
         if origin == Origin.NEGATED_HYPOTHESIS:
             supported = True
         existing = self._index.get(c.literals)
@@ -90,7 +97,7 @@ class TheorySet:
             if supported:
                 self.supported.add(existing.id)
             return existing, False
-        c = replace(c, id=self._next_id)
+        c = Clause(c.literals, c.origin, self._next_id)
         self._next_id += 1
         self._index[c.literals] = c
         self.clauses.append(c)
@@ -118,9 +125,29 @@ class TheorySet:
 # Inference rules
 
 
-def _rename_apart(c: Clause, prefix: str) -> Clause:
+# Bound on the rename-apart memo (about 500 bytes an entry), as for the
+# canonical-form cache in logic.
+_RENAME_CACHE_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=_RENAME_CACHE_SIZE)
+def _renamed_literals(literals: tuple[Literal, ...], prefix: str) -> tuple[Literal, ...]:
+    """The literals with their variables renamed prefix1, prefix2, ... in
+    first-occurrence order, computed once per clause and side."""
+    c = Clause(literals)
     ren = {v: Var(f"{prefix}{i}") for i, v in enumerate(clause_vars(c), start=1)}
-    return subst_clause(ren, c) if ren else c
+    return subst_clause(ren, c).literals if ren else literals
+
+
+def _complementary_pairs(c1: Clause, c2: Clause) -> list[tuple[int, int]]:
+    """Positions (i, j) where literal i of c1 and literal j of c2 share a
+    predicate and differ in sign: the only pairs that can clash."""
+    return [
+        (i, j)
+        for i, la in enumerate(c1.literals)
+        for j, lb in enumerate(c2.literals)
+        if la.pred == lb.pred and la.positive != lb.positive
+    ]
 
 
 def _resolve_detailed(c1: Clause, c2: Clause) -> list[tuple[Clause, Subst]]:
@@ -129,25 +156,23 @@ def _resolve_detailed(c1: Clause, c2: Clause) -> list[tuple[Clause, Subst]]:
     Resolvents are canonicalized; tautologies and canonical duplicates are
     dropped. Order follows literal positions, so the result is deterministic.
     """
-    a = _rename_apart(c1, "lv")
-    b = _rename_apart(c2, "rv")
+    pairs = _complementary_pairs(c1, c2)
+    if not pairs:
+        return []
+    a = _renamed_literals(c1.literals, "lv")
+    b = _renamed_literals(c2.literals, "rv")
     out: list[tuple[Clause, Subst]] = []
     seen = set()
-    for i, la in enumerate(a.literals):
-        for j, lb in enumerate(b.literals):
-            if la.positive == lb.positive:
-                continue
-            theta = unify(la, lb)
-            if theta is None:
-                continue
-            rest = tuple(l for k, l in enumerate(a.literals) if k != i) + tuple(
-                l for k, l in enumerate(b.literals) if k != j
-            )
-            res = canonicalize(subst_clause(theta, Clause(rest, origin=Origin.RESOLVENT)))
-            if is_tautology(res) or res.literals in seen:
-                continue
-            seen.add(res.literals)
-            out.append((res, theta))
+    for i, j in pairs:
+        theta = unify(a[i], b[j])
+        if theta is None:
+            continue
+        rest = a[:i] + a[i + 1 :] + b[:j] + b[j + 1 :]
+        res = canonicalize(subst_clause(theta, Clause(rest, origin=Origin.RESOLVENT)))
+        if is_tautology(res) or res.literals in seen:
+            continue
+        seen.add(res.literals)
+        out.append((res, theta))
     return out
 
 
@@ -159,13 +184,12 @@ def resolve(c1: Clause, c2: Clause) -> list[Clause]:
 def can_resolve(c1: Clause, c2: Clause) -> bool:
     """Whether some literal of c1 and some literal of c2 have opposite
     polarity, the same predicate and unifiable argument lists."""
-    a = _rename_apart(c1, "lv")
-    b = _rename_apart(c2, "rv")
-    for la in a.literals:
-        for lb in b.literals:
-            if la.positive != lb.positive and unify(la, lb) is not None:
-                return True
-    return False
+    pairs = _complementary_pairs(c1, c2)
+    if not pairs:
+        return False
+    a = _renamed_literals(c1.literals, "lv")
+    b = _renamed_literals(c2.literals, "rv")
+    return any(unify(a[i], b[j]) is not None for i, j in pairs)
 
 
 def factor(c: Clause) -> list[Clause]:
@@ -354,13 +378,29 @@ def _sos_saturate(tset: TheorySet, cap: int = _SATURATE_CAP) -> str:
     proof is left to the depth-first search. Local state only, the theory
     set is not touched."""
     seen = {c.literals for c in tset.clauses}
-    others = list(tset.clauses)
+    others: list[Clause] = []
+    # (predicate, polarity) -> ascending positions in `others` of the clauses
+    # holding such a literal
+    index: dict[tuple[str, bool], list[int]] = {}
+
+    def store(c: Clause) -> None:
+        for key in {(l.pred, l.positive) for l in c.literals}:
+            index.setdefault(key, []).append(len(others))
+        others.append(c)
+
+    for c in tset.clauses:
+        store(c)
     queue = deque(c for c in tset.clauses if tset.is_supported(c.id))
     if not queue:
         return _SATURATED_CLEAN
     while queue:
         given = queue.popleft()
-        for other in [*others, given]:
+        # Only stored clauses with a complementary literal can resolve with
+        # given; visit them in storage order, as a scan of all would.
+        positions = sorted(
+            {p for l in given.literals for p in index.get((l.pred, not l.positive), ())}
+        )
+        for other in [*(others[p] for p in positions), given]:
             for res, _ in _resolve_detailed(given, other):
                 for cand in (res, *factor_closure(res)):
                     if cand.literals in seen:
@@ -368,7 +408,7 @@ def _sos_saturate(tset: TheorySet, cap: int = _SATURATE_CAP) -> str:
                     if cand.is_empty:
                         return _REFUTABLE
                     seen.add(cand.literals)
-                    others.append(cand)
+                    store(cand)
                     queue.append(cand)
                     if len(seen) > cap:
                         return _INCONCLUSIVE

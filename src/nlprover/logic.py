@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
@@ -174,7 +174,7 @@ def subst_literal(s: Subst, lit: Literal) -> Literal:
 def subst_clause(s: Subst, c: Clause) -> Clause:
     """Apply a substitution to every literal. Duplicate literals produced by
     the substitution are kept; collapsing them is canonicalize's job."""
-    return replace(c, literals=tuple(subst_literal(s, lit) for lit in c.literals))
+    return Clause(tuple(subst_literal(s, lit) for lit in c.literals), c.origin, c.id)
 
 
 def occurs_in(v: Var, t: Term) -> bool:
@@ -274,8 +274,12 @@ def _literal_key_abstract(lit: Literal):
 
 _MAX_PERMUTED_VARS = 6
 
+# Bound on the canonical-form cache (about 600 bytes an entry): room for the
+# clauses of a large saturation and of many small judgments besides.
+_CANONICAL_CACHE_SIZE = 1 << 15
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
     lits = tuple(dict.fromkeys(literals))
     seen: dict[Var, None] = {}
@@ -324,7 +328,7 @@ def _canonical_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
 def canonicalize(c: Clause) -> Clause:
     """Deduplicate and sort literals, renaming variables to v1, v2, ... so
     that two clauses are variants iff their canonical forms are identical."""
-    return replace(c, literals=_canonical_literals(c.literals))
+    return Clause(_canonical_literals(c.literals), c.origin, c.id)
 
 
 def canonical_key(c: Clause) -> tuple[Literal, ...]:

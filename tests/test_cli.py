@@ -193,3 +193,111 @@ def test_prove_instances_parallel_matches_serial(capsys, tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def gold_and_preds(capsys, tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    run(capsys, "gen", "--out", str(gold), "--count", "3", "--seed", "9")
+    code, out, _ = run(capsys, "prove", "--instances", str(gold), "--jobs", "1", "--json")
+    assert code == 0
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(out)
+    return gold, preds
+
+
+def _corrupt(path, lineno=2):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = lines[lineno - 1][:-5]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_prove_malformed_instances_exits_2(capsys, gold_and_preds):
+    gold, _ = gold_and_preds
+    _corrupt(gold)
+    code, _, err = run(capsys, "prove", "--instances", str(gold), "--jobs", "1")
+    assert code == 2
+    assert f"{gold}:2:" in err and "Traceback" not in err
+
+
+def test_prove_unreadable_instances_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "prove", "--instances", str(tmp_path / "missing.jsonl"))
+    assert code == 2
+    assert "missing.jsonl" in err
+
+
+def test_prove_instance_missing_field_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "x"}\n')
+    code, _, err = run(capsys, "prove", "--instances", str(bad))
+    assert code == 2
+    assert f"{bad}:1:" in err
+
+
+def test_eval_malformed_predictions_exits_2(capsys, gold_and_preds):
+    gold, preds = gold_and_preds
+    _corrupt(preds, 3)
+    code, _, err = run(capsys, "eval", "--predictions", str(preds), "--gold", str(gold))
+    assert code == 2
+    assert f"{preds}:3:" in err
+
+
+def test_eval_malformed_gold_exits_2(capsys, gold_and_preds):
+    gold, preds = gold_and_preds
+    _corrupt(gold, 1)
+    code, _, err = run(capsys, "eval", "--predictions", str(preds), "--gold", str(gold))
+    assert code == 2
+    assert f"{gold}:1:" in err
+
+
+def test_check_malformed_proofs_exits_2(capsys, gold_and_preds):
+    gold, preds = gold_and_preds
+    _corrupt(preds)
+    code, _, err = run(capsys, "check", "--proofs", str(preds), "--instances", str(gold))
+    assert code == 2
+    assert f"{preds}:2:" in err
+
+
+def test_check_malformed_proof_step_exits_2(capsys, gold_and_preds):
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in preds.read_text().splitlines()]
+    recs[0]["predicted_proof"] = [{"premises_fol": []}]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, _, err = run(capsys, "check", "--proofs", str(preds), "--instances", str(gold))
+    assert code == 2
+    assert "predicted_proof" in err
+
+
+def _usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+def test_negative_count_is_config_error(capsys, tmp_path):
+    out_path = tmp_path / "out.jsonl"
+    code, _, err = _usage_exit(capsys, "gen", "--out", str(out_path), "--count", "-1")
+    assert code == 4
+    assert "--count" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["prove", "sat"])
+def test_negative_budget_is_config_error(capsys, theory_file, command):
+    argv = [command, "--theory", theory_file, "--budget", "-5"]
+    if command == "prove":
+        argv += ["--hypothesis", "Bob is kind."]
+    code, out, err = _usage_exit(capsys, *argv)
+    assert code == 4
+    assert "--budget" in err and not out
+
+
+def test_zero_budget_and_count_are_accepted(capsys, tmp_path, theory_file):
+    out_path = tmp_path / "out.jsonl"
+    assert run(capsys, "gen", "--out", str(out_path), "--count", "0")[0] == 0
+    assert out_path.read_text() == ""
+    code, _, _ = run(
+        capsys, "prove", "--theory", theory_file, "--hypothesis", "Bob is kind.", "--budget", "0"
+    )
+    assert code == 0

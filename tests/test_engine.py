@@ -1,4 +1,8 @@
+from collections import deque
 from itertools import islice
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprover.datagen import GenConfig, generate, oracle_sat
 from nlprover.engine import (
@@ -7,15 +11,34 @@ from nlprover.engine import (
     SOS_LINEAR,
     UNRESTRICTED,
     TheorySet,
+    _renamed_literals,
+    _resolve_detailed,
+    _sos_saturate,
     can_resolve,
     factor,
+    factor_closure,
     format_proof,
     refute,
     resolve,
 )
 from nlprover.judge import nl_renderer
 from nlprover.language import DEFAULT_LEXICON, to_sentence
-from nlprover.logic import Const, Origin, Var, clause_to_str, parse_clause
+from nlprover.logic import (
+    Clause,
+    Const,
+    Func,
+    Literal,
+    Origin,
+    Var,
+    _canonical_literals,
+    canonicalize,
+    clause_to_str,
+    clause_vars,
+    is_tautology,
+    parse_clause,
+    subst_clause,
+    unify,
+)
 from nlprover.normalize import build_theory_sets
 
 LEX = DEFAULT_LEXICON
@@ -270,3 +293,154 @@ def test_step_line_format():
     assert " => " in line and " ;; NL: " in line
     last = format_proof(result.proof)[-1]
     assert last.endswith("=> ")  # empty clause renders as the empty string
+
+
+def test_kernel_caches_are_bounded():
+    assert _canonical_literals.cache_info().maxsize is not None
+    assert _renamed_literals.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# The indexed kernel against the plain one it replaced. The reference
+# functions below are the earlier kernel, kept verbatim: rename both clauses
+# apart, then try every opposite-polarity literal pair; saturate by scanning
+# every stored clause for each given clause.
+
+
+def _ref_rename_apart(c: Clause, prefix: str) -> Clause:
+    ren = {v: Var(f"{prefix}{i}") for i, v in enumerate(clause_vars(c), start=1)}
+    return subst_clause(ren, c) if ren else c
+
+
+def _ref_resolve_detailed(c1, c2):
+    a = _ref_rename_apart(c1, "lv")
+    b = _ref_rename_apart(c2, "rv")
+    out = []
+    seen = set()
+    for i, la in enumerate(a.literals):
+        for j, lb in enumerate(b.literals):
+            if la.positive == lb.positive:
+                continue
+            theta = unify(la, lb)
+            if theta is None:
+                continue
+            rest = tuple(l for k, l in enumerate(a.literals) if k != i) + tuple(
+                l for k, l in enumerate(b.literals) if k != j
+            )
+            res = canonicalize(subst_clause(theta, Clause(rest, origin=Origin.RESOLVENT)))
+            if is_tautology(res) or res.literals in seen:
+                continue
+            seen.add(res.literals)
+            out.append((res, theta))
+    return out
+
+
+def _ref_can_resolve(c1, c2):
+    a = _ref_rename_apart(c1, "lv")
+    b = _ref_rename_apart(c2, "rv")
+    for la in a.literals:
+        for lb in b.literals:
+            if la.positive != lb.positive and unify(la, lb) is not None:
+                return True
+    return False
+
+
+def _ref_sos_saturate(tset, cap):
+    seen = {c.literals for c in tset.clauses}
+    others = list(tset.clauses)
+    queue = deque(c for c in tset.clauses if tset.is_supported(c.id))
+    if not queue:
+        return "saturated"
+    while queue:
+        given = queue.popleft()
+        for other in [*others, given]:
+            for res, _ in _ref_resolve_detailed(given, other):
+                for cand in (res, *factor_closure(res)):
+                    if cand.literals in seen:
+                        continue
+                    if cand.is_empty:
+                        return "refutable"
+                    seen.add(cand.literals)
+                    others.append(cand)
+                    queue.append(cand)
+                    if len(seen) > cap:
+                        return "inconclusive"
+    return "saturated"
+
+
+_ARITY = {"p": 1, "q": 2, "r": 1}
+_CONSTS = st.sampled_from([Const("a"), Const("b")])
+_VARS = st.sampled_from([Var("v1"), Var("v2"), Var("x")])
+
+
+def _terms(ground):
+    base = _CONSTS if ground else st.one_of(_VARS, _CONSTS)
+    return st.one_of(base, st.builds(lambda t: Func("f", (t,)), base))
+
+
+def _literals(ground=False, positive=st.booleans(), preds=st.sampled_from(sorted(_ARITY))):
+    return preds.flatmap(
+        lambda p: st.builds(
+            Literal, positive, st.just(p), st.tuples(*[_terms(ground)] * _ARITY[p])
+        )
+    )
+
+
+def _clauses(ground=False, positive=st.booleans(), min_size=0, max_size=3):
+    return st.lists(_literals(ground, positive), min_size=min_size, max_size=max_size).map(
+        lambda ls: Clause(tuple(ls))
+    )
+
+
+@st.composite
+def _clashing_pairs(draw, ground=False):
+    # c2 holds a literal of the predicate of some literal of c1, with the
+    # opposite sign, so the pair passes the complementary prefilter
+    c1 = draw(_clauses(ground, min_size=1))
+    lit = draw(st.sampled_from(c1.literals))
+    clash = draw(_literals(ground, st.just(not lit.positive), st.just(lit.pred)))
+    rest = list(draw(_clauses(ground, max_size=2)).literals)
+    rest.insert(draw(st.integers(0, len(rest))), clash)
+    return c1, Clause(tuple(rest))
+
+
+_PAIRS = st.one_of(
+    _clashing_pairs(),
+    _clashing_pairs(ground=True),
+    st.tuples(_clauses(), _clauses()),
+    _clauses().map(lambda c: (c, c)),
+    st.tuples(_clauses(positive=st.just(True)), _clauses(positive=st.just(True))),
+)
+
+
+def _detailed(pairs):
+    return [(r.literals, r.origin, r.id, theta) for r, theta in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS)
+def test_resolve_detailed_matches_reference(pair):
+    c1, c2 = pair
+    assert _detailed(_resolve_detailed(c1, c2)) == _detailed(_ref_resolve_detailed(c1, c2))
+    assert _detailed(_resolve_detailed(c2, c1)) == _detailed(_ref_resolve_detailed(c2, c1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS)
+def test_can_resolve_matches_reference(pair):
+    c1, c2 = pair
+    assert can_resolve(c1, c2) == _ref_can_resolve(c1, c2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_clauses(min_size=1, max_size=2), st.booleans()), min_size=2, max_size=8))
+def test_sos_saturate_matches_reference_scan(entries):
+    t = TheorySet()
+    for c, supported in entries:
+        t.add(c, supported=supported)
+    if not t.clauses:
+        return
+    # A small cap keeps sets that saturate forever cheap; whether a search
+    # reaches the empty clause or the cap first depends on its exploration
+    # order, which the index must keep.
+    assert _sos_saturate(t, cap=60) == _ref_sos_saturate(t, cap=60)
