@@ -23,8 +23,6 @@ from .datagen import (
     extract_training_samples,
     generate,
     generate_nlsat,
-    instance_from_dict,
-    instance_to_dict,
     read_jsonl,
     write_jsonl,
     write_training_records,
@@ -97,15 +95,7 @@ def _verdict_payload(instance_id, verdict):
         "halt_t2": verdict.halt_t2,
         "tie_broken": verdict.tie_broken,
         "predicted_label": verdict.label,
-        "predicted_proof": [
-            {
-                "premises_fol": list(s.premises_fol),
-                "premises_nl": list(s.premises_nl),
-                "conclusion_fol": s.conclusion_fol,
-                "conclusion_nl": s.conclusion_nl,
-            }
-            for s in verdict.proof
-        ],
+        "predicted_proof": [s.to_dict() for s in verdict.proof],
     }
 
 
@@ -124,8 +114,7 @@ def _print_verdict(verdict, as_json, instance_id="-"):
 
 def _judge_one(args):
     # Top-level so the process pool can pickle it.
-    inst_dict, budget, strategy = args
-    inst = instance_from_dict(inst_dict)
+    inst, budget, strategy = args
     if not inst.hypothesis:
         raise InputError(
             f"instance {inst.id} has no hypothesis (rule-only data? use 'sat')"
@@ -141,7 +130,7 @@ def cmd_prove(args) -> int:
     strategy = args.strategy.replace("-", "_")
     if args.instances:
         instances = _read_instances(args.instances)
-        work = [(instance_to_dict(i), args.budget, strategy) for i in instances]
+        work = [(inst, args.budget, strategy) for inst in instances]
         if args.jobs > 1 and len(work) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_judge_one, work, chunksize=8))
@@ -174,15 +163,7 @@ def cmd_sat(args) -> int:
             "status": result.status,
             "steps_used": result.steps_used,
             "halt_reason": result.halt_reason,
-            "proof": [
-                {
-                    "premises_fol": list(s.premises_fol),
-                    "premises_nl": list(s.premises_nl),
-                    "conclusion_fol": s.conclusion_fol,
-                    "conclusion_nl": s.conclusion_nl,
-                }
-                for s in result.proof
-            ],
+            "proof": [s.to_dict() for s in result.proof],
         }
         print(json.dumps(payload, ensure_ascii=False))
     else:

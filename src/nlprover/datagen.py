@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .engine import DEFAULT_BUDGET, TheorySet
+from .engine import DEFAULT_BUDGET, ProofStep
 from .judge import (
     FALSE,
     SATISFIABLE,
@@ -32,14 +31,7 @@ from .judge import (
 )
 from .language import Lexicon, to_sentence
 from .logic import Clause, Const, Func, clause_consts, clause_to_str, clause_vars, subst_clause
-from .normalize import (
-    Formula,
-    SkolemNamer,
-    _formula_consts,
-    build_theory_sets,
-    negate,
-    to_clauses,
-)
+from .normalize import Formula, build_sat_set, build_theory_sets, compile_clauses, to_clauses
 
 ORACLE_MAX_ATOMS = 24
 MAX_EXISTENTIAL_FACTS = 2
@@ -50,8 +42,6 @@ ATTR_POOL = (
     "kind", "round", "rough", "tall", "happy", "big", "blue", "green",
     "quiet", "smart", "brave", "calm",
 )
-
-_SK_RE = re.compile(r"sk(\d+)\Z")
 
 
 class OracleOverflowError(Exception):
@@ -168,20 +158,7 @@ def oracle_entail(
     clause form of the (negated) hypothesis, so universal hypotheses get
     their witness constant for free.
     """
-    theory = list(theory)
-    top = 0
-    for c in theory:
-        for k in clause_consts(c):
-            m = _SK_RE.match(k.name)
-            if m:
-                top = max(top, int(m.group(1)))
-    for k in _formula_consts(hypothesis):
-        m = _SK_RE.match(k.name)
-        if m:
-            top = max(top, int(m.group(1)))
-    namer = SkolemNamer(start=top + 1)
-    h_clauses = to_clauses(hypothesis, namer)
-    neg_clauses = to_clauses(negate(hypothesis), namer)
+    theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
     sat_with_neg = oracle_sat(theory + neg_clauses, max_atoms)
     sat_with_h = oracle_sat(theory + h_clauses, max_atoms)
     if sat_with_h and sat_with_neg:
@@ -244,12 +221,7 @@ class GenConfig:
             )
 
 
-@dataclass(frozen=True)
-class GoldStep:
-    premises_fol: tuple[str, str]
-    premises_nl: tuple[str, str]
-    conclusion_fol: str
-    conclusion_nl: str
+GoldStep = ProofStep
 
 
 @dataclass
@@ -261,7 +233,7 @@ class Instance:
     hypothesis_fol: str
     label: str
     depth: int
-    gold_proof: list[GoldStep]
+    gold_proof: list[ProofStep]
     meta: dict
 
     def lexicon(self) -> Lexicon:
@@ -280,37 +252,25 @@ def instance_to_dict(inst: Instance) -> dict:
         "hypothesis_fol": inst.hypothesis_fol,
         "label": inst.label,
         "depth": inst.depth,
-        "gold_proof": [
-            {
-                "premises_fol": list(s.premises_fol),
-                "premises_nl": list(s.premises_nl),
-                "conclusion_fol": s.conclusion_fol,
-                "conclusion_nl": s.conclusion_nl,
-            }
-            for s in inst.gold_proof
-        ],
+        "gold_proof": [s.to_dict() for s in inst.gold_proof],
         "meta": inst.meta,
     }
 
 
 def instance_from_dict(d: dict) -> Instance:
+    theory, hypothesis = list(d["theory"]), d["hypothesis"]
+    # Parsed later, where only grammar errors are expected.
+    if not all(isinstance(t, str) for t in [*theory, hypothesis]):
+        raise TypeError("theory and hypothesis must be sentences (strings)")
     return Instance(
         id=d["id"],
-        theory=list(d["theory"]),
+        theory=theory,
         theory_fol=list(d["theory_fol"]),
-        hypothesis=d["hypothesis"],
+        hypothesis=hypothesis,
         hypothesis_fol=d["hypothesis_fol"],
         label=d["label"],
         depth=d["depth"],
-        gold_proof=[
-            GoldStep(
-                premises_fol=tuple(s["premises_fol"]),
-                premises_nl=tuple(s["premises_nl"]),
-                conclusion_fol=s["conclusion_fol"],
-                conclusion_nl=s["conclusion_nl"],
-            )
-            for s in d["gold_proof"]
-        ],
+        gold_proof=[ProofStep.from_dict(s) for s in d["gold_proof"]],
         meta=dict(d["meta"]),
     )
 
@@ -360,7 +320,7 @@ def _render_rule(body: list[str], head: str, neg_head: bool, form: str) -> str:
 
 def _clause_key_of(text: str, lex: Lexicon):
     f = to_sentence(text, lex).formula
-    cls = to_clauses(f, SkolemNamer(start=900))
+    cls = to_clauses(f)
     return tuple(c.literals for c in cls)
 
 
@@ -414,17 +374,12 @@ def _sample_theory(
     return texts
 
 
-def _theory_clauses(texts: list[str], lex: Lexicon) -> tuple[list[Clause], list[str], SkolemNamer]:
+def _theory_clauses(texts: list[str], lex: Lexicon) -> tuple[list[Clause], list[str]]:
     """One clause per template sentence, Skolem-named exactly as the judge
     will name them when it re-reads the same sentences."""
-    formulas = [to_sentence(t, lex).formula for t in texts]
-    namer = SkolemNamer.starting_after(formulas)
-    clauses: list[Clause] = []
-    for f in formulas:
-        cls = to_clauses(f, namer)
-        assert len(cls) == 1, "template sentences map to exactly one clause"
-        clauses.append(cls[0])
-    return clauses, [clause_to_str(c) for c in clauses], namer
+    clauses, _, _ = compile_clauses(to_sentence(t, lex).formula for t in texts)
+    assert len(clauses) == len(texts), "template sentences map to exactly one clause"
+    return clauses, [clause_to_str(c) for c in clauses]
 
 
 def _candidate_hypotheses(
@@ -499,7 +454,7 @@ def generate(
         if texts is None:
             continue
         try:
-            clauses, theory_fol, namer = _theory_clauses(texts, lex)
+            clauses, theory_fol = _theory_clauses(texts, lex)
             if not oracle_sat(clauses):
                 continue
         except OracleOverflowError:
@@ -525,9 +480,9 @@ def generate(
             depth = len(verdict.proof)
             if label != UNKNOWN and not (lo <= depth <= hi):
                 continue
-            # The namer is in its post-theory state, so the hypothesis
-            # clause gets the same sk-names the judge would assign.
-            h_cls = to_clauses(h_sentence.formula, namer)
+            # Compiled after the theory clauses, so the hypothesis clause
+            # gets the same sk-names the judge assigns.
+            _, h_cls, _ = compile_clauses(clauses, h_sentence.formula)
             inst = Instance(
                 id=f"gen-{config.seed}-{emitted:05d}",
                 theory=list(texts),
@@ -536,10 +491,7 @@ def generate(
                 hypothesis_fol=clause_to_str(h_cls[0]),
                 label=label,
                 depth=depth,
-                gold_proof=[
-                    GoldStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
-                    for s in verdict.proof
-                ],
+                gold_proof=verdict.proof,
                 meta={
                     "seed": config.seed,
                     "entities": entities,
@@ -611,7 +563,7 @@ def generate_nlsat(
         texts = list(dict.fromkeys(texts))
         rng.shuffle(texts)
         try:
-            clauses, theory_fol, _ = _theory_clauses(texts, lex)
+            clauses, theory_fol = _theory_clauses(texts, lex)
             satisfiable = oracle_sat(clauses)
         except OracleOverflowError:
             continue
@@ -640,10 +592,7 @@ def generate_nlsat(
             hypothesis_fol="",
             label=label,
             depth=len(proof),
-            gold_proof=[
-                GoldStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
-                for s in proof
-            ],
+            gold_proof=proof,
             meta={
                 "seed": config.seed,
                 "entities": [],
@@ -674,12 +623,8 @@ def extract_training_samples(inst: Instance) -> list[dict]:
         t1, t2 = build_theory_sets(theory_formulas, h, realize_fn=nl_renderer(lex))
         target = t2 if inst.label == TRUE else t1
     else:  # rule-only unsatisfiable theory
-        namer = SkolemNamer.starting_after(theory_formulas)
-        target = TheorySet(realize_fn=nl_renderer(lex))
-        for f in theory_formulas:
-            for c in to_clauses(f, namer):
-                target.add(c)
-    context = [target.nl_of(c.id) for c in target.clauses]
+        target = build_sat_set(theory_formulas, realize_fn=nl_renderer(lex))
+    context = [target.nl_of(c) for c in target.clauses]
     records: list[dict] = []
     for step in inst.gold_proof:
         ti, tj = step.premises_nl

@@ -61,14 +61,13 @@ class TheorySet:
 
     Insertion order is generation order; ids are 1-based and strictly
     increasing. No two stored clauses share a canonical form and no stored
-    clause is a tautology. `realize_fn`, when given, supplies the natural
-    language rendering kept alongside each clause (falling back to the
-    clause's textual form when it cannot be realized).
+    clause is a tautology. `realize_fn`, when given, renders a clause in
+    natural language; it runs only when `nl_of` asks for a clause, and
+    without it a clause renders as its textual form.
     """
 
     realize_fn: Optional[Callable[[Clause], str]] = None
     clauses: list[Clause] = field(default_factory=list)
-    nl: dict[int, str] = field(default_factory=dict)
     supported: set[int] = field(default_factory=set)
     _index: dict = field(default_factory=dict)
     _next_id: int = 1
@@ -103,19 +102,10 @@ class TheorySet:
         self.clauses.append(c)
         if supported:
             self.supported.add(c.id)
-        self.nl[c.id] = self._render(c)
         return c, True
 
-    def _render(self, c: Clause) -> str:
-        if self.realize_fn is not None:
-            try:
-                return self.realize_fn(c)
-            except Exception:
-                return clause_to_str(c)
-        return clause_to_str(c)
-
-    def nl_of(self, cid: int) -> str:
-        return self.nl[cid]
+    def nl_of(self, c: Clause) -> str:
+        return clause_to_str(c) if self.realize_fn is None else self.realize_fn(c)
 
     def is_supported(self, cid: int) -> bool:
         return cid in self.supported
@@ -235,13 +225,36 @@ def factor_closure(c: Clause) -> list[Clause]:
 
 @dataclass(frozen=True)
 class ProofStep:
-    premise_ids: tuple[int, int]
+    """One resolution step in clause text and in natural language.
+
+    `premise_ids` and `conclusion_id` are positions in the theory set the
+    step was found in. No stored record carries that set, so they take no
+    part in equality and are not serialized.
+    """
+
     premises_fol: tuple[str, str]
     premises_nl: tuple[str, str]
-    conclusion_id: int
     conclusion_fol: str
     conclusion_nl: str
-    mgu: Subst
+    premise_ids: tuple[int, int] = field(default=(0, 0), compare=False)
+    conclusion_id: int = field(default=0, compare=False)
+
+    def to_dict(self) -> dict:
+        return {
+            "premises_fol": list(self.premises_fol),
+            "premises_nl": list(self.premises_nl),
+            "conclusion_fol": self.conclusion_fol,
+            "conclusion_nl": self.conclusion_nl,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ProofStep":
+        return cls(
+            tuple(d["premises_fol"]),
+            tuple(d["premises_nl"]),
+            d["conclusion_fol"],
+            d["conclusion_nl"],
+        )
 
 
 @dataclass
@@ -269,15 +282,19 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _make_step(tset: TheorySet, a: Clause, b: Clause, concl: Clause, mgu: Subst) -> ProofStep:
+# A derivation recorded during search: (premise, premise, stored conclusion).
+# Searches record these and render a ProofStep only for the returned proof.
+_Derivation = tuple[Clause, Clause, Clause]
+
+
+def _make_step(tset: TheorySet, a: Clause, b: Clause, concl: Clause) -> ProofStep:
     return ProofStep(
-        premise_ids=(a.id, b.id),
         premises_fol=(clause_to_str(a), clause_to_str(b)),
-        premises_nl=(tset.nl_of(a.id), tset.nl_of(b.id)),
-        conclusion_id=concl.id,
+        premises_nl=(tset.nl_of(a), tset.nl_of(b)),
         conclusion_fol=clause_to_str(concl),
-        conclusion_nl=tset.nl_of(concl.id),
-        mgu=mgu,
+        conclusion_nl=tset.nl_of(concl),
+        premise_ids=(a.id, b.id),
+        conclusion_id=concl.id,
     )
 
 
@@ -286,10 +303,9 @@ def refute(
     strategy: str = SOS_LINEAR,
     budget: int = DEFAULT_BUDGET,
 ) -> RefutationResult:
-    """Search for the empty clause, recording one ProofStep per accepted
-    resolvent. The returned proof is the derivation of the empty clause
-    (empty when no refutation was found); steps_used counts all accepted
-    steps including abandoned branches."""
+    """Search for the empty clause. The returned proof is the derivation of
+    the empty clause (empty when no refutation was found); steps_used counts
+    all accepted steps including abandoned branches."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not tset.clauses:
@@ -302,59 +318,57 @@ def refute(
 
 
 def _refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
-    steps: list[ProofStep] = []
-    by_conclusion: dict[int, ProofStep] = {}
+    # One entry per accepted step, keyed by the id of its new conclusion.
+    by_conclusion: dict[int, _Derivation] = {}
     usable: list[Clause] = []
     queue = deque(tset.clauses)
 
-    def accept(a: Clause, b: Clause, res: Clause, mgu: Subst) -> Optional[Clause]:
+    def accept(a: Clause, b: Clause, res: Clause) -> Optional[Clause]:
         # Returns the stored clause when it is new and within budget.
-        if len(steps) >= budget:
+        if len(by_conclusion) >= budget:
             raise _BudgetExhausted
         supported = tset.is_supported(a.id) or tset.is_supported(b.id)
         stored, new = tset.add(res, origin=Origin.RESOLVENT, supported=supported)
         if stored is None or not new:
             return None
-        step = _make_step(tset, a, b, stored, mgu)
-        steps.append(step)
-        by_conclusion[stored.id] = step
+        by_conclusion[stored.id] = (a, b, stored)
         return stored
 
     try:
         while queue:
             given = queue.popleft()
             for other in [*usable, given]:
-                for res, mgu in _resolve_detailed(given, other):
-                    stored = accept(given, other, res, mgu)
+                for res, _ in _resolve_detailed(given, other):
+                    stored = accept(given, other, res)
                     if stored is None:
                         continue
                     if stored.is_empty:
-                        proof = _extract(by_conclusion, stored.id)
-                        return RefutationResult(True, len(steps), proof, HALT_EMPTY)
+                        proof = [_make_step(tset, *d) for d in _extract(by_conclusion, stored.id)]
+                        return RefutationResult(True, len(by_conclusion), proof, HALT_EMPTY)
                     queue.append(stored)
                     for fc in factor_closure(stored):
-                        fstored = accept(given, other, fc, mgu)
+                        fstored = accept(given, other, fc)
                         if fstored is not None:
                             queue.append(fstored)
             usable.append(given)
     except _BudgetExhausted:
-        return RefutationResult(False, len(steps), [], HALT_BUDGET)
-    reason = HALT_NO_PAIR if not steps else HALT_SATURATED
-    return RefutationResult(False, len(steps), [], reason)
+        return RefutationResult(False, len(by_conclusion), [], HALT_BUDGET)
+    reason = HALT_NO_PAIR if not by_conclusion else HALT_SATURATED
+    return RefutationResult(False, len(by_conclusion), [], reason)
 
 
-def _extract(by_conclusion: dict[int, ProofStep], empty_id: int) -> list[ProofStep]:
+def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
     """Derivation of the empty clause: walk premise ids back through the
     step log, then order by conclusion id."""
-    needed: dict[int, ProofStep] = {}
+    needed: dict[int, _Derivation] = {}
     stack = [empty_id]
     while stack:
         cid = stack.pop()
-        step = by_conclusion.get(cid)
-        if step is None or cid in needed:
+        d = by_conclusion.get(cid)
+        if d is None or cid in needed:
             continue
-        needed[cid] = step
-        stack.extend(step.premise_ids)
+        needed[cid] = d
+        stack.extend((d[0].id, d[1].id))
     return [needed[cid] for cid in sorted(needed)]
 
 
@@ -432,26 +446,26 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     inputs = list(tset.clauses)
     state = {"work": 0, "truncated": False}
-    trail: list[ProofStep] = []
+    trail: list[_Derivation] = []
 
     def candidates(center: Clause, ancestors: list[Clause]):
         sides = sorted(inputs + ancestors, key=lambda c: (len(c.literals), c.id))
         out = []
         for side in sides:
-            for res, mgu in _resolve_detailed(center, side):
-                out.append((side, res, mgu))
+            for res, _ in _resolve_detailed(center, side):
+                out.append((side, res))
                 for fc in factor_closure(res):
-                    out.append((side, fc, mgu))
+                    out.append((side, fc))
         return out
 
     def descend(center: Clause, path_keys: set, ancestors: list[Clause], depth_left: int) -> bool:
         cands = candidates(center, ancestors)
-        for side, res, mgu in cands:
+        for side, res in cands:
             if res.is_empty:
                 stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
-                trail.append(_make_step(tset, center, side, stored, mgu))
+                trail.append((center, side, stored))
                 return True
-        for side, res, mgu in cands:
+        for side, res in cands:
             if res.is_empty or res.literals in path_keys:
                 continue
             if depth_left <= 1:
@@ -463,7 +477,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
             stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
             if stored is None:
                 continue
-            trail.append(_make_step(tset, center, side, stored, mgu))
+            trail.append((center, side, stored))
             path_keys.add(stored.literals)
             ancestors.append(stored)
             if descend(stored, path_keys, ancestors, depth_left - 1):
@@ -480,7 +494,8 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
             trail.clear()
             try:
                 if descend(goal, {goal.literals}, [], limit):
-                    return RefutationResult(True, len(trail), list(trail), HALT_EMPTY)
+                    proof = [_make_step(tset, *d) for d in trail]
+                    return RefutationResult(True, len(trail), proof, HALT_EMPTY)
             except _BudgetExhausted:
                 return RefutationResult(False, 0, [], HALT_BUDGET)
         if not state["truncated"]:

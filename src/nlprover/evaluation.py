@@ -17,7 +17,7 @@ from .engine import factor_closure, resolve
 from .judge import TRUE, UNKNOWN
 from .language import DEFAULT_LEXICON, Lexicon, to_sentence
 from .logic import ClauseFormatError, canonical_key, parse_clause
-from .normalize import build_theory_sets
+from .normalize import CnfBlowupError, build_theory_sets
 
 
 def check_step(premises: tuple[str, str], conclusion: str) -> bool:
@@ -71,7 +71,8 @@ def check_proof(rec: PredictionRecord, lexicon: Lexicon = DEFAULT_LEXICON) -> bo
         theory_formulas = [to_sentence(t, lex).formula for t in rec.theory]
         h = to_sentence(rec.hypothesis, lex).formula
         t1, t2 = build_theory_sets(theory_formulas, h)
-    except Exception:
+    except (ValueError, CnfBlowupError):
+        # ParseError and UnknownWordError are ValueErrors
         return False
     target = t2 if rec.predicted_label == TRUE else t1
     available = {c.literals for c in target.clauses}

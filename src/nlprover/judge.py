@@ -19,12 +19,11 @@ from .engine import (
     UNRESTRICTED,
     ProofStep,
     RefutationResult,
-    TheorySet,
     refute,
 )
 from .language import DEFAULT_LEXICON, Lexicon, Sentence, UnrealizableError, realize_clause
 from .logic import Clause, clause_to_str
-from .normalize import SkolemNamer, build_theory_sets, to_clauses
+from .normalize import build_sat_set, build_theory_sets
 
 log = logging.getLogger(__name__)
 
@@ -123,12 +122,7 @@ def check_sat(
 ) -> SatResult:
     """Is the theory self-contradictory? No hypothesis and no goal clause,
     so the search runs unrestricted rather than goal-directed."""
-    formulas = [s.formula for s in nlt]
-    namer = SkolemNamer.starting_after(formulas)
-    tset = TheorySet(realize_fn=nl_renderer(lexicon))
-    for f in formulas:
-        for c in to_clauses(f, namer):
-            tset.add(c)
+    tset = build_sat_set([s.formula for s in nlt], realize_fn=nl_renderer(lexicon))
     result = refute(tset, strategy=UNRESTRICTED, budget=budget)
     status = UNSATISFIABLE if result.refuted else SATISFIABLE
     return SatResult(

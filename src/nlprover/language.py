@@ -369,9 +369,15 @@ def _as_literal(f: Formula) -> Literal:
     raise UnrealizableError("unrealizable: not a literal")
 
 
-def realize_formula(f: Formula, lex: Lexicon = DEFAULT_LEXICON) -> str:
-    """Render the template-shaped formulas: ground clauses, universal
-    clauses, and single-literal existentials ("Someone is ...")."""
+def negate_sentence(text: str, lex: Lexicon = DEFAULT_LEXICON) -> str:
+    """Textual negation via the logic: parse, negate, render back.
+
+    Works for facts, existential facts and single-literal universal
+    sentences; anything whose negation leaves the template fragment raises
+    UnrealizableError. The negation is a ground clause, a universal clause
+    or a single-literal existential ("Someone is ...").
+    """
+    f = negate(parse_sentence(text, lex))
     if isinstance(f, Exists):
         lit = _as_literal(f.body)
         if lit.args != (f.var,):
@@ -385,13 +391,3 @@ def realize_formula(f: Formula, lex: Lexicon = DEFAULT_LEXICON) -> str:
         return realize_clause(clause, lex)
     lits = [_as_literal(g) for g in _flatten_or(f)]
     return realize_clause(Clause(tuple(lits)), lex)
-
-
-def negate_sentence(text: str, lex: Lexicon = DEFAULT_LEXICON) -> str:
-    """Textual negation via the logic: parse, negate, render back.
-
-    Works for facts, existential facts and single-literal universal
-    sentences; anything whose negation leaves the template fragment raises
-    UnrealizableError.
-    """
-    return realize_formula(negate(parse_sentence(text, lex)), lex)

@@ -22,6 +22,7 @@ from .logic import (
     Term,
     Var,
     canonicalize,
+    clause_consts,
     is_tautology,
     term_consts,
 )
@@ -95,12 +96,14 @@ class SkolemNamer:
         return Const(name)
 
     @classmethod
-    def starting_after(cls, formulas: Iterable[Formula]) -> "SkolemNamer":
+    def starting_after(cls, items: Iterable[Union[Formula, Clause]]) -> "SkolemNamer":
         """A namer whose names cannot clash with sk-constants already present
-        in the inputs (e.g. re-parsed 'person sk1' pseudo-entities)."""
+        in the inputs (e.g. re-parsed 'person sk1' pseudo-entities), which
+        may be formulas or clauses."""
         top = 0
-        for f in formulas:
-            for c in _formula_consts(f):
+        for item in items:
+            consts = clause_consts(item) if isinstance(item, Clause) else _formula_consts(item)
+            for c in consts:
                 m = _SK_RE.match(c.name)
                 if m:
                     top = max(top, int(m.group(1)))
@@ -295,6 +298,35 @@ def to_clauses(
     return out
 
 
+def compile_clauses(
+    theory: Iterable[Union[Formula, Clause]],
+    hypothesis: Optional[Formula] = None,
+    max_clauses: int = MAX_CLAUSES_PER_FORMULA,
+) -> tuple[list[Clause], list[Clause], list[Clause]]:
+    """Clause form of one task: the theory clauses, then the hypothesis
+    clauses, then the clauses of its negation.
+
+    One Skolem namer, starting after every sk-name already in the inputs,
+    names all three in that order, so sk-names never collide and line up
+    wherever the same task is compiled again. Theory items that are already
+    clauses are kept as they are. Without a hypothesis the last two lists
+    are empty.
+    """
+    theory = list(theory)
+    namer = SkolemNamer.starting_after(theory if hypothesis is None else [*theory, hypothesis])
+    theory_clauses: list[Clause] = []
+    for item in theory:
+        if isinstance(item, Clause):
+            theory_clauses.append(item)
+        else:
+            theory_clauses.extend(to_clauses(item, namer, max_clauses))
+    if hypothesis is None:
+        return theory_clauses, [], []
+    h_clauses = to_clauses(hypothesis, namer, max_clauses)
+    neg_clauses = to_clauses(negate(hypothesis), namer, max_clauses)
+    return theory_clauses, h_clauses, neg_clauses
+
+
 def build_theory_sets(
     nlt: Iterable[Formula],
     hypothesis: Formula,
@@ -311,14 +343,7 @@ def build_theory_sets(
     """
     from .engine import TheorySet
 
-    nlt = list(nlt)
-    namer = SkolemNamer.starting_after([*nlt, hypothesis])
-    theory_clauses: list[Clause] = []
-    for f in nlt:
-        theory_clauses.extend(to_clauses(f, namer, max_clauses))
-    h_clauses = to_clauses(hypothesis, namer, max_clauses)
-    neg_clauses = to_clauses(negate(hypothesis), namer, max_clauses)
-
+    theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis, max_clauses)
     t1 = TheorySet(realize_fn=realize_fn)
     t2 = TheorySet(realize_fn=realize_fn)
     for c in theory_clauses:
@@ -329,3 +354,18 @@ def build_theory_sets(
     for c in neg_clauses:
         t2.add(c, origin=Origin.NEGATED_HYPOTHESIS)
     return t1, t2
+
+
+def build_sat_set(
+    nlt: Iterable[Formula],
+    realize_fn: Optional[Callable[[Clause], str]] = None,
+):
+    """The single refutation target of a satisfiability check: the theory
+    alone, with no goal clause."""
+    from .engine import TheorySet
+
+    theory_clauses, _, _ = compile_clauses(nlt)
+    tset = TheorySet(realize_fn=realize_fn)
+    for c in theory_clauses:
+        tset.add(c)
+    return tset

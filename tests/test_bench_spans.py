@@ -1,0 +1,51 @@
+"""The benchmark's tracer (bench/spans.py) patches nlprover names from
+outside the package and fails loudly when one is gone. This runs it on the
+worked example, so a refactor that moves a patch point fails here too, not
+only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+WORKED_THEORY = [
+    "Everyone is not kind or not round or rough.",
+    "Everyone is not rough.",
+    "Everyone is round.",
+]
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_patch_points_record_calls():
+    # Modules, not names: the tracer swaps module attributes, and the
+    # package re-exports the function judge() under the submodule's name.
+    judge = importlib.import_module("nlprover.judge")
+    evaluation = importlib.import_module("nlprover.evaluation")
+    language = importlib.import_module("nlprover.language")
+    original = language.realize_clause
+    tracer = _load_spans().Tracer("prove-default")
+    tracer.install()
+    try:
+        lex = language.DEFAULT_LEXICON
+        sents = [language.to_sentence(t, lex) for t in WORKED_THEORY]
+        hyp = "Bob is not kind."
+        v = judge.judge(sents, language.to_sentence(hyp, lex), lexicon=lex)
+        proof = [(s.premises_fol, s.conclusion_fol) for s in v.proof]
+        rec = evaluation.PredictionRecord("w", WORKED_THEORY, hyp, v.label, v.label, proof, lex)
+        assert evaluation.check_proof(rec)
+    finally:
+        tracer.uninstall()
+    for metric in (
+        "language.realize_clause.calls",
+        "normalize.build_theory_sets.calls",
+        "engine.theoryset_add.calls",
+    ):
+        assert tracer.counts[metric] > 0, metric
+    assert judge.realize_clause is language.realize_clause is original

@@ -195,6 +195,24 @@ def test_prove_instances_parallel_matches_serial(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_prove_json_proof_equals_gen_gold_proof(capsys, tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    code, _, _ = run(
+        capsys,
+        "gen", "--out", str(gold), "--count", "12", "--seed", "3",
+        "--existential", "--entities", "2", "--attributes", "4",
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "prove", "--instances", str(gold), "--jobs", "1", "--json")
+    assert code == 0
+    golds = [json.loads(l) for l in gold.read_text().splitlines()]
+    preds = [json.loads(l) for l in out.splitlines()]
+    assert [p["id"] for p in preds] == [g["id"] for g in golds]
+    assert any(g["gold_proof"] for g in golds)
+    for p, g in zip(preds, golds):
+        assert p["predicted_proof"] == g["gold_proof"], g["id"]
+
+
 @pytest.fixture
 def gold_and_preds(capsys, tmp_path):
     gold = tmp_path / "gold.jsonl"
@@ -256,6 +274,17 @@ def test_check_malformed_proofs_exits_2(capsys, gold_and_preds):
     code, _, err = run(capsys, "check", "--proofs", str(preds), "--instances", str(gold))
     assert code == 2
     assert f"{preds}:2:" in err
+
+
+@pytest.mark.parametrize("field", ["theory", "hypothesis"])
+def test_eval_non_sentence_gold_exits_2(capsys, gold_and_preds, field):
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in gold.read_text().splitlines()]
+    recs[1][field] = [5] if field == "theory" else 5
+    gold.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, _, err = run(capsys, "eval", "--predictions", str(preds), "--gold", str(gold))
+    assert code == 2
+    assert f"{gold}:2:" in err
 
 
 def test_check_malformed_proof_step_exits_2(capsys, gold_and_preds):

@@ -1,6 +1,8 @@
+import json
 from collections import deque
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from nlprover.engine import (
     HALT_NO_PAIR,
     SOS_LINEAR,
     UNRESTRICTED,
+    ProofStep,
     TheorySet,
     _renamed_literals,
     _resolve_detailed,
@@ -180,6 +183,50 @@ def test_unrestricted_refutes_worked_example():
     }
     for s in result.proof:
         assert set(s.premise_ids) <= seen
+
+
+@pytest.mark.parametrize("strategy", [SOS_LINEAR, UNRESTRICTED])
+def test_nl_realized_only_for_returned_proof(strategy):
+    # The worked example plus generated instances, with every clause the
+    # renderer is asked for logged.
+    worked = [
+        "Everyone is not kind or not round or rough.",
+        "Everyone is not rough.",
+        "Everyone is round.",
+    ]
+    tasks = [(worked, "Bob is not kind.", LEX)]
+    for inst in islice(generate(GenConfig(seed=42)), 12):
+        tasks.append((inst.theory, inst.hypothesis, inst.lexicon()))
+    n_refuted = 0
+    for theory, hypothesis, lex in tasks:
+        rendered = []
+        render = nl_renderer(lex)
+
+        def counting(c, render=render, rendered=rendered):
+            rendered.append(clause_to_str(c))
+            return render(c)
+
+        sents = [to_sentence(t, lex).formula for t in theory]
+        h = to_sentence(hypothesis, lex).formula
+        for tset in build_theory_sets(sents, h, realize_fn=counting):
+            rendered.clear()
+            result = refute(tset, strategy=strategy, budget=5000)
+            named = {f for s in result.proof for f in (*s.premises_fol, s.conclusion_fol)}
+            assert set(rendered) <= named
+            assert len(rendered) == 3 * len(result.proof)
+            n_refuted += result.refuted
+    assert n_refuted >= 5
+
+
+def test_proof_step_dict_round_trip():
+    _, t2 = _worked_example_sets()
+    proof = refute(t2, strategy=SOS_LINEAR).proof
+    assert proof
+    for s in proof:
+        d = s.to_dict()
+        assert list(d) == ["premises_fol", "premises_nl", "conclusion_fol", "conclusion_nl"]
+        assert ProofStep.from_dict(d) == s
+        assert ProofStep.from_dict(json.loads(json.dumps(d))) == s
 
 
 def test_strategies_agree_on_generated_instances():

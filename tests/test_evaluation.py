@@ -100,6 +100,18 @@ def test_check_proof_requires_empty_clause_ending():
     assert not check_proof(worked_record(predicted_proof=proof))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"theory": [*WORKED_THEORY, "Everyone is purple."]},
+        {"hypothesis": "Bob is not purple."},
+    ],
+    ids=["theory", "hypothesis"],
+)
+def test_check_proof_unknown_word_scores_invalid(overrides):
+    assert not check_proof(worked_record(**overrides))
+
+
 def test_check_proof_premises_may_be_earlier_conclusions():
     # step 2 uses step 1's conclusion; the full worked proof covers it
     assert check_proof(worked_record())
