@@ -375,10 +375,15 @@ def _sample_theory(
 
 
 def _theory_clauses(texts: list[str], lex: Lexicon) -> tuple[list[Clause], list[str]]:
-    """One clause per template sentence, Skolem-named exactly as the judge
-    will name them when it re-reads the same sentences."""
+    """The theory's clauses, Skolem-named exactly as the judge will name them
+    when it re-reads the same sentences, and their FOL strings.
+
+    Each generator template (a literal fact, or a rule whose head is not in
+    its body) compiles to one clause, so clause i is sentence i's. Only the
+    total count is checked here; tests check the per-sentence alignment.
+    """
     clauses, _, _ = compile_clauses(to_sentence(t, lex).formula for t in texts)
-    assert len(clauses) == len(texts), "template sentences map to exactly one clause"
+    assert len(clauses) == len(texts), "as many clauses as template sentences"
     return clauses, [clause_to_str(c) for c in clauses]
 
 

@@ -301,7 +301,6 @@ def to_clauses(
 def compile_clauses(
     theory: Iterable[Union[Formula, Clause]],
     hypothesis: Optional[Formula] = None,
-    max_clauses: int = MAX_CLAUSES_PER_FORMULA,
 ) -> tuple[list[Clause], list[Clause], list[Clause]]:
     """Clause form of one task: the theory clauses, then the hypothesis
     clauses, then the clauses of its negation.
@@ -319,11 +318,11 @@ def compile_clauses(
         if isinstance(item, Clause):
             theory_clauses.append(item)
         else:
-            theory_clauses.extend(to_clauses(item, namer, max_clauses))
+            theory_clauses.extend(to_clauses(item, namer))
     if hypothesis is None:
         return theory_clauses, [], []
-    h_clauses = to_clauses(hypothesis, namer, max_clauses)
-    neg_clauses = to_clauses(negate(hypothesis), namer, max_clauses)
+    h_clauses = to_clauses(hypothesis, namer)
+    neg_clauses = to_clauses(negate(hypothesis), namer)
     return theory_clauses, h_clauses, neg_clauses
 
 
@@ -331,7 +330,6 @@ def build_theory_sets(
     nlt: Iterable[Formula],
     hypothesis: Formula,
     realize_fn: Optional[Callable[[Clause], str]] = None,
-    max_clauses: int = MAX_CLAUSES_PER_FORMULA,
 ):
     """The two refutation targets for a judging task.
 
@@ -343,7 +341,7 @@ def build_theory_sets(
     """
     from .engine import TheorySet
 
-    theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis, max_clauses)
+    theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis)
     t1 = TheorySet(realize_fn=realize_fn)
     t2 = TheorySet(realize_fn=realize_fn)
     for c in theory_clauses:

@@ -124,6 +124,23 @@ def test_generated_theory_fol_matches_parse():
         assert [clause_to_str(c) for c in got] == inst.theory_fol
 
 
+def test_existential_and_nlsat_theory_fol_match_parse_per_sentence():
+    from nlprover.logic import clause_to_str
+
+    cfg = GenConfig(seed=3, n_entities=3, n_attributes=4, allow_existential=True)
+    exist = list(islice(generate(cfg), 30))
+    assert any("sk" in s for i in exist for s in i.theory_fol)
+    for inst in exist + list(islice(generate_nlsat(GenConfig(seed=5)), 10)):
+        lex = inst.lexicon()
+        namer = SkolemNamer()
+        got = []
+        for t in inst.theory:
+            cls = to_clauses(to_sentence(t, lex).formula, namer)
+            assert len(cls) == 1
+            got.append(cls[0])
+        assert [clause_to_str(c) for c in got] == inst.theory_fol
+
+
 def test_generated_depths_stay_in_window():
     cfg = GenConfig(seed=15, target_depth_range=(2, 4))
     for inst in islice(generate(cfg), 15):
