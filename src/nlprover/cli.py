@@ -247,6 +247,11 @@ def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
             raise InputError(
                 f"{pred_path}: malformed predicted_proof for {inst.id} ({type(e).__name__}: {e})"
             ) from e
+        if not all(isinstance(x, str) for (a, b), c in proof for x in (a, b, c)):
+            raise InputError(
+                f"{pred_path}: predicted_proof for {inst.id} has a premise or conclusion"
+                " that is not a string"
+            )
         records.append(
             PredictionRecord(
                 instance_id=inst.id,

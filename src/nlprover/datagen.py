@@ -262,6 +262,11 @@ def instance_from_dict(d: dict) -> Instance:
     # Parsed later, where only grammar errors are expected.
     if not all(isinstance(t, str) for t in [*theory, hypothesis]):
         raise TypeError("theory and hypothesis must be sentences (strings)")
+    meta = dict(d["meta"])
+    for key in ("entities", "attributes"):
+        words = meta.get(key, [])
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise TypeError(f"meta.{key} must be a list of words (strings)")
     return Instance(
         id=d["id"],
         theory=theory,
@@ -271,7 +276,7 @@ def instance_from_dict(d: dict) -> Instance:
         label=d["label"],
         depth=d["depth"],
         gold_proof=[ProofStep.from_dict(s) for s in d["gold_proof"]],
-        meta=dict(d["meta"]),
+        meta=meta,
     )
 
 

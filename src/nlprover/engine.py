@@ -1,23 +1,25 @@
 """Binary resolution with factoring and strategy-guided refutation search.
 
-Two search modes share the same step recording:
+Both strategies run one given-clause loop (Otter's, under Wos's set of
+support), started from different partitions of the input clauses:
 
-* sos_linear (default): the first premise chain starts at a goal clause
-  (origin NEGATED_HYPOTHESIS), every later step keeps the previous
-  resolvent as one premise, and the other premise comes from the input
-  clauses or an ancestor on the current chain. Dead ends backtrack
-  depth-first to the most recent untried side clause; the budget bounds
-  the length of one derivation chain.
-* unrestricted: a fair first-in-first-out loop over all clause pairs; the
-  budget bounds the number of accepted resolvents.
-
-Either way steps_used reports reasoning steps: the found refutation's
-length under sos_linear, the accepted-resolvent count under unrestricted.
+* unrestricted: every clause is queued and none starts usable, so every
+  pair of clauses is resolved once, first-in-first-out. The budget bounds
+  the number of accepted resolvents, and steps_used is that number.
+* sos_linear (default): the loop is a decision pre-check. The support
+  clauses (goals) are queued, the other clauses start usable, and
+  saturation decides whether the empty clause is reachable. When it may
+  be, an iterative-deepening search recovers a linear chain: the first
+  premise chain starts at a goal clause, every later step keeps the
+  previous resolvent as one premise, and the other premise comes from
+  the input clauses or an ancestor on the current chain. The budget
+  bounds the length of one chain, and steps_used is the length of the
+  refutation found (0 when none was).
 
 A pair of clauses is resolved only when some literal of one has the same
-predicate as, and the opposite sign of, a literal of the other; the
-saturation pre-check finds such partners through a (predicate, polarity)
-index instead of scanning every stored clause.
+predicate as, and the opposite sign of, a literal of the other; the loop
+finds a given clause's partners through a (predicate, polarity) index
+instead of scanning every usable clause.
 """
 
 from __future__ import annotations
@@ -304,57 +306,76 @@ def refute(
     budget: int = DEFAULT_BUDGET,
 ) -> RefutationResult:
     """Search for the empty clause. The returned proof is the derivation of
-    the empty clause (empty when no refutation was found); steps_used counts
-    all accepted steps including abandoned branches."""
+    the empty clause (empty when no refutation was found). steps_used is
+    the proof's length under sos_linear (0 when none was found) and the
+    number of accepted resolvents under unrestricted."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not tset.clauses:
         raise ValueError("empty theory set")
     if strategy == UNRESTRICTED:
-        return _refute_unrestricted(tset, budget)
+        halt, accepted, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
+        proof = [_make_step(tset, *d) for d in derivation]
+        return RefutationResult(halt == HALT_EMPTY, accepted, proof, halt)
     if budget > 500:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * budget + 1000))
     return _refute_sos_linear(tset, budget)
 
 
-def _refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
-    # One entry per accepted step, keyed by the id of its new conclusion.
+def _given_clause_loop(
+    tset: TheorySet, queue: list[Clause], start_usable: list[Clause], limit: int
+) -> tuple[str, int, list[_Derivation]]:
+    """Saturate under a set of support: `queue` holds the support clauses
+    and `start_usable` the clauses that start usable.
+
+    Each round takes the oldest queued clause as given, resolves it with
+    every usable clause holding a complementary literal, in usable order,
+    then with itself, and makes it usable. Each resolvent and each of its
+    factors is a candidate; one whose canonical form is new is accepted,
+    numbered on from the theory set's last id and queued. A candidate that
+    arrives after `limit` accepted ones ends the search. The theory set is
+    not changed.
+
+    Returns the halt reason, the number of accepted resolvents and the
+    derivation of the empty clause (empty unless it was reached).
+    """
+    seen = {c.literals for c in tset.clauses}
+    first_id = len(tset.clauses) + 1
+    # One entry per accepted resolvent, keyed by its id.
     by_conclusion: dict[int, _Derivation] = {}
+    pending = deque(queue)
     usable: list[Clause] = []
-    queue = deque(tset.clauses)
+    # (predicate, polarity) -> ascending positions in `usable` of the
+    # clauses holding such a literal
+    index: dict[tuple[str, bool], list[int]] = {}
 
-    def accept(a: Clause, b: Clause, res: Clause) -> Optional[Clause]:
-        # Returns the stored clause when it is new and within budget.
-        if len(by_conclusion) >= budget:
-            raise _BudgetExhausted
-        supported = tset.is_supported(a.id) or tset.is_supported(b.id)
-        stored, new = tset.add(res, origin=Origin.RESOLVENT, supported=supported)
-        if stored is None or not new:
-            return None
-        by_conclusion[stored.id] = (a, b, stored)
-        return stored
+    def make_usable(c: Clause) -> None:
+        for key in {(l.pred, l.positive) for l in c.literals}:
+            index.setdefault(key, []).append(len(usable))
+        usable.append(c)
 
-    try:
-        while queue:
-            given = queue.popleft()
-            for other in [*usable, given]:
-                for res, _ in _resolve_detailed(given, other):
-                    stored = accept(given, other, res)
-                    if stored is None:
+    for c in start_usable:
+        make_usable(c)
+    while pending:
+        given = pending.popleft()
+        positions = sorted(
+            {p for l in given.literals for p in index.get((l.pred, not l.positive), ())}
+        )
+        for other in [*(usable[p] for p in positions), given]:
+            for res, _ in _resolve_detailed(given, other):
+                for cand in (res, *factor_closure(res)):
+                    if len(by_conclusion) >= limit:
+                        return HALT_BUDGET, len(by_conclusion), []
+                    if cand.literals in seen:
                         continue
+                    seen.add(cand.literals)
+                    stored = Clause(cand.literals, Origin.RESOLVENT, first_id + len(by_conclusion))
+                    by_conclusion[stored.id] = (given, other, stored)
                     if stored.is_empty:
-                        proof = [_make_step(tset, *d) for d in _extract(by_conclusion, stored.id)]
-                        return RefutationResult(True, len(by_conclusion), proof, HALT_EMPTY)
-                    queue.append(stored)
-                    for fc in factor_closure(stored):
-                        fstored = accept(given, other, fc)
-                        if fstored is not None:
-                            queue.append(fstored)
-            usable.append(given)
-    except _BudgetExhausted:
-        return RefutationResult(False, len(by_conclusion), [], HALT_BUDGET)
-    reason = HALT_NO_PAIR if not by_conclusion else HALT_SATURATED
-    return RefutationResult(False, len(by_conclusion), [], reason)
+                        return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
+                    pending.append(stored)
+        make_usable(given)
+    return (HALT_SATURATED if by_conclusion else HALT_NO_PAIR), len(by_conclusion), []
 
 
 def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
@@ -377,73 +398,30 @@ def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Deri
 # so cap the number of descents and report budget exhaustion past it.
 _WORK_LIMIT = 50_000
 
-# Cap on the saturation pre-check's clause store.
+# Cap on the resolvents the saturation pre-check accepts; past it the
+# pre-check is inconclusive and the deepening search decides.
 _SATURATE_CAP = 20_000
-
-_REFUTABLE = "refutable"
-_SATURATED_CLEAN = "saturated"
-_INCONCLUSIVE = "inconclusive"
-
-
-def _sos_saturate(tset: TheorySet, cap: int = _SATURATE_CAP) -> str:
-    """Decision pre-check: exhaustive set-of-support saturation with global
-    duplicate pruning. Every resolution involves a goal descendant, so on a
-    consistent theory this decides refutability outright; the chain-shaped
-    proof is left to the depth-first search. Local state only, the theory
-    set is not touched."""
-    seen = {c.literals for c in tset.clauses}
-    others: list[Clause] = []
-    # (predicate, polarity) -> ascending positions in `others` of the clauses
-    # holding such a literal
-    index: dict[tuple[str, bool], list[int]] = {}
-
-    def store(c: Clause) -> None:
-        for key in {(l.pred, l.positive) for l in c.literals}:
-            index.setdefault(key, []).append(len(others))
-        others.append(c)
-
-    for c in tset.clauses:
-        store(c)
-    queue = deque(c for c in tset.clauses if tset.is_supported(c.id))
-    if not queue:
-        return _SATURATED_CLEAN
-    while queue:
-        given = queue.popleft()
-        # Only stored clauses with a complementary literal can resolve with
-        # given; visit them in storage order, as a scan of all would.
-        positions = sorted(
-            {p for l in given.literals for p in index.get((l.pred, not l.positive), ())}
-        )
-        for other in [*(others[p] for p in positions), given]:
-            for res, _ in _resolve_detailed(given, other):
-                for cand in (res, *factor_closure(res)):
-                    if cand.literals in seen:
-                        continue
-                    if cand.is_empty:
-                        return _REFUTABLE
-                    seen.add(cand.literals)
-                    store(cand)
-                    queue.append(cand)
-                    if len(seen) > cap:
-                        return _INCONCLUSIVE
-    return _SATURATED_CLEAN
 
 
 def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     """Iterative-deepening search over linear derivations of length <= budget.
 
-    A set-of-support saturation pass decides refutability first; the
-    deepening search then recovers a shortest-length chain, so steps_used is
-    the found refutation's length (0 when none was found). Every node scans
-    all candidate sides for an immediate empty resolvent before descending.
+    The given-clause loop, with the goals queued, decides refutability
+    first; the deepening search then recovers a shortest-length chain, so
+    steps_used is the found refutation's length (0 when none was found).
+    Every node scans all candidate sides for an immediate empty resolvent
+    before descending.
     """
-    decision = _sos_saturate(tset)
-    if decision == _SATURATED_CLEAN:
-        return RefutationResult(False, 0, [], HALT_NO_PAIR)
-
     # Roots are the support clauses present at entry (goal clauses, plus any
     # theory clause a goal collapsed into at insertion).
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
+    others = [c for c in tset.clauses if not tset.is_supported(c.id)]
+    halt, _, _ = _given_clause_loop(tset, goals, others, _SATURATE_CAP)
+    # Saturation without the empty clause decides the set; a refutable or
+    # capped pre-check leaves the proof to the deepening search.
+    if halt in (HALT_SATURATED, HALT_NO_PAIR):
+        return RefutationResult(False, 0, [], HALT_NO_PAIR)
+
     inputs = list(tset.clauses)
     state = {"work": 0, "truncated": False}
     trail: list[_Derivation] = []

@@ -1,7 +1,7 @@
 """The benchmark's tracer (bench/spans.py) patches nlprover names from
 outside the package and fails loudly when one is gone. This runs it on the
-worked example, so a refactor that moves a patch point fails here too, not
-only in a traced benchmark run."""
+worked example and on a self-contradictory rule set, so a refactor that
+moves a patch point fails here too, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -13,6 +13,12 @@ WORKED_THEORY = [
     "Everyone is not kind or not round or rough.",
     "Everyone is not rough.",
     "Everyone is round.",
+]
+
+CONTRADICTORY_RULES = [
+    "Everyone is kind.",
+    "Everyone is not kind or rough.",
+    "Everyone is not rough.",
 ]
 
 
@@ -40,12 +46,17 @@ def test_bench_tracer_patch_points_record_calls():
         proof = [(s.premises_fol, s.conclusion_fol) for s in v.proof]
         rec = evaluation.PredictionRecord("w", WORKED_THEORY, hyp, v.label, v.label, proof, lex)
         assert evaluation.check_proof(rec)
+        # check_sat must reach the unrestricted search through refute
+        contradictory = [language.to_sentence(t, lex) for t in CONTRADICTORY_RULES]
+        assert judge.check_sat(contradictory, lexicon=lex).status == judge.UNSATISFIABLE
     finally:
         tracer.uninstall()
     for metric in (
         "language.realize_clause.calls",
         "normalize.build_theory_sets.calls",
         "engine.theoryset_add.calls",
+        "judge.check_sat.calls",
+        "engine.refute.unrestricted.calls",
     ):
         assert tracer.counts[metric] > 0, metric
     assert judge.realize_clause is language.realize_clause is original

@@ -297,6 +297,36 @@ def test_check_malformed_proof_step_exits_2(capsys, gold_and_preds):
     assert "predicted_proof" in err
 
 
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("field", ["premises_fol", "conclusion_fol"])
+def test_non_string_predicted_step_exits_2(capsys, gold_and_preds, command, field):
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in preds.read_text().splitlines()]
+    rec = next(r for r in recs if r["predicted_proof"])
+    step = rec["predicted_proof"][0]
+    if field == "premises_fol":
+        step[field][1] = 5
+    else:
+        step[field] = 5
+    preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    flags = {"check": ("--proofs", "--instances"), "eval": ("--predictions", "--gold")}
+    pred_flag, gold_flag = flags[command]
+    code, _, err = run(capsys, command, pred_flag, str(preds), gold_flag, str(gold))
+    assert code == 2
+    assert str(preds) in err and rec["id"] in err
+
+
+@pytest.mark.parametrize("key", ["entities", "attributes"])
+def test_prove_non_string_meta_words_exit_2(capsys, gold_and_preds, key):
+    gold, _ = gold_and_preds
+    recs = [json.loads(l) for l in gold.read_text().splitlines()]
+    recs[1]["meta"][key] = [1, 2]
+    gold.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, _, err = run(capsys, "prove", "--instances", str(gold), "--jobs", "1")
+    assert code == 2
+    assert f"{gold}:2:" in err and f"meta.{key}" in err
+
+
 def _usage_exit(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))

@@ -1,6 +1,7 @@
 import json
 from collections import deque
 from itertools import islice
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,23 @@ from hypothesis import strategies as st
 
 from nlprover.datagen import GenConfig, generate, oracle_sat
 from nlprover.engine import (
+    HALT_BUDGET,
     HALT_EMPTY,
     HALT_NO_PAIR,
+    HALT_SATURATED,
     SOS_LINEAR,
+    STRATEGIES,
     UNRESTRICTED,
     ProofStep,
+    RefutationResult,
     TheorySet,
+    _BudgetExhausted,
+    _Derivation,
+    _extract,
+    _given_clause_loop,
+    _make_step,
     _renamed_literals,
     _resolve_detailed,
-    _sos_saturate,
     can_resolve,
     factor,
     factor_closure,
@@ -481,13 +490,116 @@ def test_can_resolve_matches_reference(pair):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_clauses(min_size=1, max_size=2), st.booleans()), min_size=2, max_size=8))
-def test_sos_saturate_matches_reference_scan(entries):
+def test_given_clause_loop_decides_like_reference_saturation(entries):
     t = TheorySet()
     for c, supported in entries:
         t.add(c, supported=supported)
     if not t.clauses:
         return
-    # A small cap keeps sets that saturate forever cheap; whether a search
-    # reaches the empty clause or the cap first depends on its exploration
-    # order, which the index must keep.
-    assert _sos_saturate(t, cap=60) == _ref_sos_saturate(t, cap=60)
+    # The reference stops once its store, inputs included, exceeds 60
+    # clauses; the loop stops on the candidate after `limit` accepted
+    # resolvents. Which of the empty clause and the cap comes first follows
+    # the exploration order, which differs, so only the sos-linear caller's
+    # question is compared: did saturation finish clean under the cap?
+    limit = 60 - len(t.clauses) + 1
+    goals = [c for c in t.clauses if t.is_supported(c.id)]
+    others = [c for c in t.clauses if not t.is_supported(c.id)]
+    halt, accepted, _ = _given_clause_loop(t, goals, others, limit)
+    clean = halt in (HALT_SATURATED, HALT_NO_PAIR) and accepted < limit
+    assert clean == (_ref_sos_saturate(t, cap=60) == "saturated")
+
+
+# The unrestricted search before it became the given-clause loop with every
+# clause queued, kept verbatim. It stored resolvents in the theory set and
+# tried factors only of new resolvents.
+
+
+def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
+    # One entry per accepted step, keyed by the id of its new conclusion.
+    by_conclusion: dict[int, _Derivation] = {}
+    usable: list[Clause] = []
+    queue = deque(tset.clauses)
+
+    def accept(a: Clause, b: Clause, res: Clause) -> Optional[Clause]:
+        # Returns the stored clause when it is new and within budget.
+        if len(by_conclusion) >= budget:
+            raise _BudgetExhausted
+        supported = tset.is_supported(a.id) or tset.is_supported(b.id)
+        stored, new = tset.add(res, origin=Origin.RESOLVENT, supported=supported)
+        if stored is None or not new:
+            return None
+        by_conclusion[stored.id] = (a, b, stored)
+        return stored
+
+    try:
+        while queue:
+            given = queue.popleft()
+            for other in [*usable, given]:
+                for res, _ in _resolve_detailed(given, other):
+                    stored = accept(given, other, res)
+                    if stored is None:
+                        continue
+                    if stored.is_empty:
+                        proof = [_make_step(tset, *d) for d in _extract(by_conclusion, stored.id)]
+                        return RefutationResult(True, len(by_conclusion), proof, HALT_EMPTY)
+                    queue.append(stored)
+                    for fc in factor_closure(stored):
+                        fstored = accept(given, other, fc)
+                        if fstored is not None:
+                            queue.append(fstored)
+            usable.append(given)
+    except _BudgetExhausted:
+        return RefutationResult(False, len(by_conclusion), [], HALT_BUDGET)
+    reason = HALT_NO_PAIR if not by_conclusion else HALT_SATURATED
+    return RefutationResult(False, len(by_conclusion), [], reason)
+
+
+def _template_clauses(ground):
+    # The shapes the sentence grammar compiles to: unary literals over v1
+    # only, or ground. Their resolvents keep that shape, so factoring never
+    # applies and the old search's skipped factors cannot show.
+    arg = _CONSTS if ground else st.just(Var("v1"))
+    lit = st.builds(
+        lambda pos, pred, a: Literal(pos, pred, (a,)), st.booleans(), st.sampled_from("prs"), arg
+    )
+    return st.lists(lit, min_size=1, max_size=3).map(lambda ls: Clause(tuple(ls)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_template_clauses(False), _template_clauses(True)), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 40),
+)
+def test_unrestricted_matches_reference_on_template_sets(entries, budget):
+    def build():
+        t = TheorySet()
+        for c, supported in entries:
+            t.add(c, supported=supported)
+        return t
+
+    t = build()
+    if not t.clauses:
+        return
+    got = refute(t, strategy=UNRESTRICTED, budget=budget)
+    want = _ref_refute_unrestricted(build(), budget)
+    assert (got.refuted, got.steps_used, got.halt_reason, format_proof(got.proof)) == (
+        want.refuted,
+        want.steps_used,
+        want.halt_reason,
+        format_proof(want.proof),
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_refutation_needs_factors_of_duplicate_resolvents(strategy):
+    # Unsatisfiable only through the factors p(v1) and -p(v1), and the only
+    # resolvents whose factors they are duplicate the inputs.
+    t = TheorySet()
+    t.add(parse_clause("p(v1) | p(v2)"))
+    t.add(parse_clause("-p(v1) | -p(v2)"), origin=Origin.NEGATED_HYPOTHESIS)
+    result = refute(t, strategy=strategy)
+    assert result.refuted and result.halt_reason == HALT_EMPTY
