@@ -7,6 +7,13 @@ that occur, plus one witness constant when none do) and decides
 satisfiability by exhaustive assignment search with unit propagation. That
 is a completely separate decision path from resolution, which is exactly
 why it can arbitrate.
+
+Grounding builds no terms: each clause is compiled once into literal
+templates whose variables are slot numbers, and each assignment yields atom
+keys (predicate, constant names) that are numbered in first-use order. A
+theory is ground once per domain and kept in a bounded memo, so the checks
+that add a hypothesis or its negation to the same theory ground only what
+they add, on a copy of the theory's atom numbering.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -30,7 +38,7 @@ from .judge import (
     nl_renderer,
 )
 from .language import Lexicon, to_sentence
-from .logic import Clause, Const, Func, clause_consts, clause_to_str, clause_vars, subst_clause
+from .logic import Clause, Const, Func, Literal, Var, clause_to_str
 from .normalize import Formula, build_sat_set, build_theory_sets, compile_clauses, to_clauses
 
 ORACLE_MAX_ATOMS = 24
@@ -89,11 +97,81 @@ def _dpll(clauses: list[frozenset]) -> bool:
     return _dpll(_force(clauses, v)) or _dpll(_force(clauses, -v))
 
 
-def _ground(clauses: Iterable[Clause], max_atoms: int) -> list[frozenset]:
-    clauses = list(clauses)
-    consts: dict[str, Const] = {}
+def _ground_into(
+    clauses: Iterable[tuple[Literal, ...]],
+    domain: tuple[str, ...],
+    atom_idx: dict,
+    ground: list[frozenset],
+    seen: set,
+) -> None:
+    """Append every non-tautological ground instance of `clauses` over
+    `domain` to `ground`, as a set of signed atom numbers, numbering atoms
+    on from `atom_idx` in first-use order. No terms are built: each literal
+    becomes (positive, pred, argument template), where an int in the
+    template is a variable's slot in first-occurrence order and a str is a
+    constant's name."""
+    for literals in clauses:
+        slots: dict[Var, int] = {}
+        template = [
+            (
+                lit.positive,
+                lit.pred,
+                tuple(
+                    slots.setdefault(a, len(slots)) if isinstance(a, Var) else a.name
+                    for a in lit.args
+                ),
+            )
+            for lit in literals
+        ]
+        for assignment in product(domain, repeat=len(slots)):
+            lits = set()
+            for positive, pred, args in template:
+                key = (pred, tuple(assignment[a] if type(a) is int else a for a in args))
+                idx = atom_idx.get(key)
+                if idx is None:
+                    idx = atom_idx[key] = len(atom_idx) + 1
+                signed = idx if positive else -idx
+                if -signed in lits:
+                    break  # tautology; the atoms after it stay unnumbered
+                lits.add(signed)
+            else:
+                fs = frozenset(lits)
+                if fs not in seen:
+                    seen.add(fs)
+                    ground.append(fs)
+
+
+# One entry per (theory, domain): its atom index, ground list and seen set,
+# about 15 KB for a default-size theory at the 24-atom cap. generate()
+# makes at most 17 oracle calls on one theory in a row (oracle_sat, then
+# oracle_entail per candidate hypothesis, over one or two domains), so a
+# small bound keeps every hit.
+_GROUND_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_GROUND_CACHE_SIZE)
+def _ground_theory(
+    theory: tuple[tuple[Literal, ...], ...], domain: tuple[str, ...]
+) -> tuple[dict, list[frozenset], set]:
+    """The theory's grounding over `domain`; callers must not mutate it."""
+    atom_idx: dict = {}
+    ground: list[frozenset] = []
+    seen: set = set()
+    _ground_into(theory, domain, atom_idx, ground, seen)
+    return atom_idx, ground, seen
+
+
+def _ground(
+    theory: Iterable[Clause], extra: Iterable[Clause], max_atoms: int
+) -> list[frozenset]:
+    """The ground clause list of `theory + extra` over its Herbrand domain
+    (its constants, or the witness c0 when there are none). The theory part
+    is ground once per domain and reused; `extra` is ground into a copy of
+    it, so atom numbers carry on exactly as for the whole list."""
+    theory, extra = list(theory), list(extra)
+    consts: dict[str, None] = {}
     preds: dict[tuple[str, int], None] = {}
-    for c in clauses:
+    for c in theory + extra:
         for lit in c.literals:
             preds.setdefault((lit.pred, len(lit.args)))
             for a in lit.args:
@@ -101,49 +179,23 @@ def _ground(clauses: Iterable[Clause], max_atoms: int) -> list[frozenset]:
                     raise OracleOverflowError(
                         "oracle_overflow: function terms are outside oracle reach"
                     )
-        for k in clause_consts(c):
-            consts.setdefault(k.name, k)
-    domain = list(consts.values()) or [Const("c0")]
+                if isinstance(a, Const):
+                    consts.setdefault(a.name)
+    domain = tuple(consts) or ("c0",)
     n_atoms = sum(len(domain) ** arity for _, arity in preds)
     if n_atoms > max_atoms:
         raise OracleOverflowError(
             f"oracle_overflow: {n_atoms} ground atoms exceeds the cap of {max_atoms}"
         )
-    atom_idx: dict = {}
-
-    def index_of(pred: str, args: tuple) -> int:
-        key = (pred, args)
-        if key not in atom_idx:
-            atom_idx[key] = len(atom_idx) + 1
-        return atom_idx[key]
-
-    ground: list[frozenset] = []
-    seen = set()
-    for c in clauses:
-        vs = clause_vars(c)
-        for assignment in product(domain, repeat=len(vs)):
-            g = subst_clause(dict(zip(vs, assignment)), c)
-            lits = set()
-            tautology = False
-            for lit in g.literals:
-                idx = index_of(lit.pred, lit.args)
-                signed = idx if lit.positive else -idx
-                if -signed in lits:
-                    tautology = True
-                    break
-                lits.add(signed)
-            if tautology:
-                continue
-            fs = frozenset(lits)
-            if fs not in seen:
-                seen.add(fs)
-                ground.append(fs)
+    atom_idx, ground, seen = _ground_theory(tuple(c.literals for c in theory), domain)
+    atom_idx, ground, seen = dict(atom_idx), list(ground), set(seen)
+    _ground_into((c.literals for c in extra), domain, atom_idx, ground, seen)
     return ground
 
 
 def oracle_sat(clauses: Iterable[Clause], max_atoms: int = ORACLE_MAX_ATOMS) -> bool:
     """Satisfiability by exhaustive search over ground-atom assignments."""
-    return _dpll(_ground(clauses, max_atoms))
+    return _dpll(_ground(clauses, (), max_atoms))
 
 
 def oracle_entail(
@@ -159,8 +211,8 @@ def oracle_entail(
     their witness constant for free.
     """
     theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
-    sat_with_neg = oracle_sat(theory + neg_clauses, max_atoms)
-    sat_with_h = oracle_sat(theory + h_clauses, max_atoms)
+    sat_with_neg = _dpll(_ground(theory, neg_clauses, max_atoms))
+    sat_with_h = _dpll(_ground(theory, h_clauses, max_atoms))
     if sat_with_h and sat_with_neg:
         return UNKNOWN
     if sat_with_h:

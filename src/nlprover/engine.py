@@ -192,7 +192,7 @@ def factor(c: Clause) -> list[Clause]:
     lits = c.literals
     for i in range(len(lits)):
         for j in range(i + 1, len(lits)):
-            if lits[i].positive != lits[j].positive:
+            if lits[i].positive != lits[j].positive or lits[i].pred != lits[j].pred:
                 continue
             theta = unify(lits[i], lits[j])
             if theta is None:

@@ -1,7 +1,8 @@
 """The benchmark's tracer (bench/spans.py) patches nlprover names from
 outside the package and fails loudly when one is gone. This runs it on the
-worked example and on a self-contradictory rule set, so a refactor that
-moves a patch point fails here too, not only in a traced benchmark run."""
+worked example, on a self-contradictory rule set and on one generated
+instance, so a refactor that moves a patch point fails here too, not only
+in a traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -34,6 +35,7 @@ def test_bench_tracer_patch_points_record_calls():
     # package re-exports the function judge() under the submodule's name.
     judge = importlib.import_module("nlprover.judge")
     evaluation = importlib.import_module("nlprover.evaluation")
+    datagen = importlib.import_module("nlprover.datagen")
     language = importlib.import_module("nlprover.language")
     original = language.realize_clause
     tracer = _load_spans().Tracer("prove-default")
@@ -49,6 +51,8 @@ def test_bench_tracer_patch_points_record_calls():
         # check_sat must reach the unrestricted search through refute
         contradictory = [language.to_sentence(t, lex) for t in CONTRADICTORY_RULES]
         assert judge.check_sat(contradictory, lexicon=lex).status == judge.UNSATISFIABLE
+        # generate() must label through the oracle's public names
+        next(datagen.generate(datagen.GenConfig(seed=0)))
     finally:
         tracer.uninstall()
     for metric in (
@@ -57,6 +61,8 @@ def test_bench_tracer_patch_points_record_calls():
         "engine.theoryset_add.calls",
         "judge.check_sat.calls",
         "engine.refute.unrestricted.calls",
+        "datagen.oracle_sat.calls",
+        "datagen.oracle_entail.calls",
     ):
         assert tracer.counts[metric] > 0, metric
     assert judge.realize_clause is language.realize_clause is original

@@ -1,14 +1,19 @@
 import json
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
+from typing import Iterable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprover.datagen import (
     GenConfig,
     GenerationStalledError,
     InconsistentTheoryError,
     OracleOverflowError,
+    _ground,
+    _ground_theory,
     extract_training_samples,
     generate,
     generate_nlsat,
@@ -19,9 +24,18 @@ from nlprover.datagen import (
 )
 from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNKNOWN, UNSATISFIABLE, judge
 from nlprover.language import DEFAULT_LEXICON, to_sentence
-from nlprover.logic import parse_clause
+from nlprover.logic import (
+    Clause,
+    Const,
+    Func,
+    Literal,
+    Var,
+    clause_consts,
+    clause_vars,
+    parse_clause,
+    subst_clause,
+)
 from nlprover.normalize import Atom, SkolemNamer, to_clauses
-from nlprover.logic import Const
 
 BOB = Const("Bob")
 
@@ -263,3 +277,121 @@ def test_generation_stall_raises_with_constraint():
     cfg = GenConfig(seed=0, n_facts=1, n_rules=1, target_depth_range=(6, 6))
     with pytest.raises(GenerationStalledError):
         list(islice(generate(cfg), 1))
+
+
+def test_oracle_ground_cache_is_bounded():
+    assert _ground_theory.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# Grounding against the one it replaced. The reference below is the earlier
+# `_ground`, kept verbatim: it grounds the whole clause list at once by
+# substituting each assignment into the clause and numbering atoms as met.
+
+
+def _ref_ground(clauses: Iterable[Clause], max_atoms: int) -> list[frozenset]:
+    clauses = list(clauses)
+    consts: dict[str, Const] = {}
+    preds: dict[tuple[str, int], None] = {}
+    for c in clauses:
+        for lit in c.literals:
+            preds.setdefault((lit.pred, len(lit.args)))
+            for a in lit.args:
+                if isinstance(a, Func):
+                    raise OracleOverflowError(
+                        "oracle_overflow: function terms are outside oracle reach"
+                    )
+        for k in clause_consts(c):
+            consts.setdefault(k.name, k)
+    domain = list(consts.values()) or [Const("c0")]
+    n_atoms = sum(len(domain) ** arity for _, arity in preds)
+    if n_atoms > max_atoms:
+        raise OracleOverflowError(
+            f"oracle_overflow: {n_atoms} ground atoms exceeds the cap of {max_atoms}"
+        )
+    atom_idx: dict = {}
+
+    def index_of(pred: str, args: tuple) -> int:
+        key = (pred, args)
+        if key not in atom_idx:
+            atom_idx[key] = len(atom_idx) + 1
+        return atom_idx[key]
+
+    ground: list[frozenset] = []
+    seen = set()
+    for c in clauses:
+        vs = clause_vars(c)
+        for assignment in product(domain, repeat=len(vs)):
+            g = subst_clause(dict(zip(vs, assignment)), c)
+            lits = set()
+            tautology = False
+            for lit in g.literals:
+                idx = index_of(lit.pred, lit.args)
+                signed = idx if lit.positive else -idx
+                if -signed in lits:
+                    tautology = True
+                    break
+                lits.add(signed)
+            if tautology:
+                continue
+            fs = frozenset(lits)
+            if fs not in seen:
+                seen.add(fs)
+                ground.append(fs)
+    return ground
+
+
+_G_VARS = st.sampled_from([Var("v1"), Var("v2")])
+_G_FUNC = st.just(Func("f", (Var("v1"),)))
+
+
+def _g_consts(names):
+    return st.sampled_from([Const(n) for n in names])
+
+
+def _g_clauses(terms, unary):
+    """Clauses of up to three literals over unary predicates and the binary
+    `likes`: ground, over v1 only, or over two variables in either order."""
+    lit = st.one_of(
+        st.builds(Literal, st.booleans(), st.sampled_from(unary), st.tuples(terms)),
+        st.builds(Literal, st.booleans(), st.just("likes"), st.tuples(terms, terms)),
+    )
+    return st.lists(lit, max_size=3).map(lambda ls: Clause(tuple(ls)))
+
+
+@st.composite
+def _grounding_cases(draw):
+    unary = ("kind", "round", "rough")
+    consts = _g_consts(("Bob", "Alan", "sk1", "sk2"))
+    # Without constants the theory's domain is the witness c0 alone.
+    theory_terms = _G_VARS if draw(st.booleans()) else st.one_of(_G_VARS, consts)
+    # Extras may bring new constants, a new predicate and, rarely, a Func.
+    extra_terms = st.one_of(_G_VARS, _g_consts(("Bob", "sk1", "Erin", "sk3")))
+    if draw(st.integers(0, 9)) == 0:
+        extra_terms = st.one_of(extra_terms, _G_FUNC)
+    theory = draw(st.lists(_g_clauses(theory_terms, unary), max_size=5))
+    extra = draw(st.lists(_g_clauses(extra_terms, (*unary, "quiet")), max_size=3))
+    cap = draw(st.sampled_from([6, 12, 24]))
+    return theory, extra, cap
+
+
+def _ground_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except OracleOverflowError as e:
+        return ("overflow", str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grounding_cases())
+def test_ground_with_extra_matches_reference(case):
+    theory, extra, cap = case
+    # A fresh constant gives the interleaved call another domain. A clause
+    # without constants keeps the domain, so a cached theory grounding that
+    # an earlier call had extended would show up in the calls after it.
+    other = [*extra, Clause((Literal(True, "kind", (Const("sk9"),)),))]
+    same_domain = [Clause((Literal(False, "kind", (Var("v1"),)),)), *extra]
+    for e in (extra, other, same_domain, extra):
+        assert _ground_or_error(_ground, theory, e, cap) == _ground_or_error(
+            _ref_ground, theory + e, cap
+        )

@@ -114,6 +114,16 @@ def test_factor_with_constant():
     assert _strs(out) == ["p(Bob) | q(Bob)"]
 
 
+def test_factor_skips_pairs_of_different_predicates(monkeypatch):
+    import nlprover.engine as engine
+
+    calls = []
+    real_unify = engine.unify
+    monkeypatch.setattr(engine, "unify", lambda a, b: calls.append((a, b)) or real_unify(a, b))
+    assert factor(parse_clause("-p(v1) | -q(v1)")) == []
+    assert calls == []
+
+
 def _worked_example_sets():
     theory = [
         "Everyone is not kind or not round or rough.",
