@@ -78,6 +78,19 @@ def _read_theory_file(path: str) -> list[str]:
     return lines
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any work is done when `path` cannot be opened for
+    writing. The probe opens it for appending, so an existing file keeps its
+    contents, and removes a file that it created."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
+    if not existed:
+        os.remove(path)
+
+
 def _parse_sentences(texts, lex):
     try:
         return [to_sentence(t, lex) for t in texts]
@@ -187,27 +200,32 @@ def cmd_gen(args) -> int:
             target_depth_range=(args.depth_min, args.depth_max),
             label_mix=tuple(float(x) for x in args.mix.split(",")),
         )
-        config.validate(rule_only=args.nlsat)
+        stream = (
+            generate_nlsat(config, fraction_unsat=args.fraction_unsat, budget=args.budget)
+            if args.nlsat
+            else generate(config, budget=args.budget)
+        )
     except ValueError as e:
         print(f"gen: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    stream = (
-        generate_nlsat(config, fraction_unsat=args.fraction_unsat, budget=args.budget)
-        if args.nlsat
-        else generate(config, budget=args.budget)
-    )
+    for path in filter(None, (args.out, args.training_records)):
+        _check_writable(path)
     try:
         instances = list(islice(stream, args.count))
     except GenerationStalledError as e:
         print(f"gen: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    write_jsonl(instances, args.out)
+    records = []
     if args.training_records:
-        records = []
         for inst in instances:
             if inst.label in ("True", "False") or (args.nlsat and inst.gold_proof):
                 records.extend(extract_training_samples(inst))
-        write_training_records(records, args.training_records)
+    try:
+        write_jsonl(instances, args.out)
+        if args.training_records:
+            write_training_records(records, args.training_records)
+    except OSError as e:
+        raise InputError(f"cannot write output: {e}") from e
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
 

@@ -85,6 +85,34 @@ def test_bad_gen_config_exits_4(capsys, tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--mix", "nan,0.5,0.5"], ["--nlsat", "--fraction-unsat", "2"]]
+)
+def test_gen_config_error_exits_4_without_output(capsys, tmp_path, flags):
+    out_path = tmp_path / "x.jsonl"
+    code, out, err = run(capsys, "gen", "--out", str(out_path), "--count", "1", *flags)
+    assert code == 4
+    assert err.startswith("gen: config error:")
+    assert not out and not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--training-records"])
+def test_unwritable_gen_output_exits_2_before_generating(capsys, tmp_path, monkeypatch, flag):
+    def no_generation(*args, **kwargs):
+        return iter(lambda: pytest.fail("generated before the output paths were checked"), None)
+
+    monkeypatch.setattr("nlprover.cli.generate", no_generation)
+    paths = {"--out": str(tmp_path / "o.jsonl"), "--training-records": str(tmp_path / "r.jsonl")}
+    paths[flag] = str(tmp_path / "missing" / "x.jsonl")
+    argv = [arg for item in paths.items() for arg in item]
+    code, out, err = run(capsys, "gen", "--count", "1", *argv)
+    assert code == 2
+    assert "cannot write" in err and paths[flag] in err
+    assert not out
+    # The probe of the writable path leaves nothing behind.
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sat_command(capsys, tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("Everyone is round.\nBob is not round.\n")

@@ -1,6 +1,7 @@
+import hashlib
 import json
 from collections import Counter
-from itertools import islice, product
+from itertools import islice, permutations, product
 from typing import Iterable
 
 import pytest
@@ -12,8 +13,12 @@ from nlprover.datagen import (
     GenerationStalledError,
     InconsistentTheoryError,
     OracleOverflowError,
+    _MODEL_STORE_SIZE,
     _ground,
     _ground_theory,
+    _render_rule,
+    _rule_key,
+    _solve,
     extract_training_samples,
     generate,
     generate_nlsat,
@@ -23,7 +28,7 @@ from nlprover.datagen import (
     oracle_sat,
 )
 from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNKNOWN, UNSATISFIABLE, judge
-from nlprover.language import DEFAULT_LEXICON, to_sentence
+from nlprover.language import DEFAULT_LEXICON, Lexicon, to_sentence
 from nlprover.logic import (
     Clause,
     Const,
@@ -35,7 +40,7 @@ from nlprover.logic import (
     parse_clause,
     subst_clause,
 )
-from nlprover.normalize import Atom, SkolemNamer, to_clauses
+from nlprover.normalize import Atom, Exists, ForAll, Not, SkolemNamer, compile_clauses, to_clauses
 
 BOB = Const("Bob")
 
@@ -268,6 +273,9 @@ def test_config_validation():
         GenConfig(n_entities=6, n_attributes=8).validate()  # 48 worst-case atoms
     with pytest.raises(ValueError):
         GenConfig(target_depth_range=(3, 1)).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GenConfig(label_mix=(bad, 0.5, 0.5)).validate()
     GenConfig(n_entities=6, n_attributes=4).validate()  # 24 atoms: at the cap
     GenConfig(n_entities=6, n_attributes=8).validate(rule_only=True)
 
@@ -375,9 +383,27 @@ def _grounding_cases(draw):
     return theory, extra, cap
 
 
-def _ground_or_error(fn, *args):
+def _as_set(clause: tuple[int, int]) -> frozenset:
+    """A (positive atoms, negated atoms) bitmask pair as signed atom numbers."""
+    pos, neg = clause
+    bits = range(1, max(pos, neg).bit_length())
+    return frozenset([i for i in bits if pos >> i & 1] + [-i for i in bits if neg >> i & 1])
+
+
+def _ground_whole(theory, extra, cap):
+    """The new grounding as one list in the reference's form."""
     try:
-        return fn(*args)
+        grounding, ground = _ground(
+            tuple(c.literals for c in theory), (c.literals for c in extra), cap
+        )
+    except OracleOverflowError as e:
+        return ("overflow", str(e))
+    return [_as_set(c) for c in grounding.ground + ground]
+
+
+def _ref_ground_or_error(clauses, cap):
+    try:
+        return _ref_ground(clauses, cap)
     except OracleOverflowError as e:
         return ("overflow", str(e))
 
@@ -392,6 +418,215 @@ def test_ground_with_extra_matches_reference(case):
     other = [*extra, Clause((Literal(True, "kind", (Const("sk9"),)),))]
     same_domain = [Clause((Literal(False, "kind", (Var("v1"),)),)), *extra]
     for e in (extra, other, same_domain, extra):
-        assert _ground_or_error(_ground, theory, e, cap) == _ground_or_error(
-            _ref_ground, theory + e, cap
-        )
+        assert _ground_whole(theory, e, cap) == _ref_ground_or_error(theory + e, cap)
+
+
+# ---------------------------------------------------------------------------
+# The SAT core against the one it replaced. `_force` and `_dpll` below are
+# the earlier oracle's, kept verbatim: they rescan and copy the whole ground
+# list for every forced literal.
+
+
+def _force(clauses: list[frozenset], lit: int) -> list[frozenset]:
+    out = []
+    for c in clauses:
+        if lit in c:
+            continue
+        if -lit in c:
+            c = c - {-lit}
+        out.append(c)
+    return out
+
+
+def _dpll(clauses: list[frozenset]) -> bool:
+    while True:
+        if any(not c for c in clauses):
+            return False
+        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
+        if unit is None:
+            break
+        clauses = _force(clauses, unit)
+    if not clauses:
+        return True
+    v = min(abs(l) for c in clauses for l in c)
+    return _dpll(_force(clauses, v)) or _dpll(_force(clauses, -v))
+
+
+def _as_masks(clause: frozenset) -> tuple[int, int]:
+    return (
+        sum(1 << l for l in clause if l > 0),
+        sum(1 << -l for l in clause if l < 0),
+    )
+
+
+@st.composite
+def _ground_lists(draw):
+    """Ground clause lists over 1 to 24 atoms; fewer atoms make
+    unsatisfiable lists likelier. Grounding never makes a tautology, so
+    neither does this: each clause takes at most one sign per atom."""
+    n = draw(st.integers(1, 24))
+    clause = st.dictionaries(st.integers(1, n), st.booleans(), min_size=1, max_size=4).map(
+        lambda signs: frozenset(a if positive else -a for a, positive in signs.items())
+    )
+    return draw(st.lists(clause, max_size=60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ground_lists())
+def test_sat_core_matches_reference_dpll(clauses):
+    model = _solve([_as_masks(c) for c in clauses])
+    assert (model is not None) == _dpll(clauses)
+    if model is not None:
+        assert all(any((l > 0) == bool(model >> abs(l) & 1) for l in c) for c in clauses)
+
+
+def test_sat_core_returns_the_empty_model():
+    # Every atom false is a model, and the int 0; it must not read as "none".
+    assert _solve([_as_masks(frozenset({-1, 2})), _as_masks(frozenset({-2}))]) == 0
+    assert _solve([_as_masks(frozenset())]) is None
+
+
+# ---------------------------------------------------------------------------
+# Model reuse: entailment with stored models answers as two fresh solves do.
+
+
+def _fresh_entail(theory, hypothesis, cap=24):
+    """oracle_entail's answer from two solves of freshly ground lists."""
+    theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
+    sat_with_neg = _dpll(_ref_ground(theory + neg_clauses, cap))
+    sat_with_h = _dpll(_ref_ground(theory + h_clauses, cap))
+    return {
+        (True, True): UNKNOWN,
+        (True, False): TRUE,
+        (False, True): FALSE,
+        (False, False): "inconsistent",
+    }[sat_with_h, sat_with_neg]
+
+
+def _entail_or_error(theory, hypothesis):
+    try:
+        return oracle_entail(theory, hypothesis)
+    except InconsistentTheoryError:
+        return "inconsistent"
+
+
+_E_UNARY = ("kind", "round", "rough", "quiet")
+
+
+@st.composite
+def _entailment_cases(draw):
+    consts = ("Bob", "Alan", "sk1")
+    # Unary predicates only, so that every case stays under the atom cap.
+    terms = st.one_of(st.just(Var("v1")), _g_consts(consts))
+    lit = st.builds(Literal, st.booleans(), st.sampled_from(_E_UNARY[:3]), st.tuples(terms))
+    clause = st.lists(lit, max_size=3).map(lambda ls: Clause(tuple(ls)))
+    theory = draw(st.lists(clause, max_size=6))
+    # Ground hypotheses over the theory's constants and over a new one
+    # (Erin), and quantified ones, whose clause forms bring a witness.
+    ground = st.builds(
+        lambda p, c, neg: (Not if neg else lambda f: f)(Atom(p, (Const(c),))),
+        st.sampled_from(_E_UNARY),
+        st.sampled_from((*consts, "Erin")),
+        st.booleans(),
+    )
+    x = Var("x")
+    quantified = st.builds(
+        lambda q, p: q(x, Atom(p, (x,))), st.sampled_from((ForAll, Exists)), st.sampled_from(_E_UNARY)
+    )
+    hypotheses = draw(st.lists(st.one_of(ground, quantified), min_size=1, max_size=12))
+    return theory, hypotheses
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entailment_cases())
+def test_entailment_with_stored_models_matches_fresh_solves(case):
+    theory, hypotheses = case
+    _ground_theory.cache_clear()
+    # Each hypothesis is asked twice, so the second asking meets the models
+    # that the first and the ones before it stored.
+    for h in hypotheses + hypotheses:
+        assert _entail_or_error(theory, h) == _fresh_entail(theory, h)
+
+
+def test_model_store_is_bounded():
+    # Six free atoms and one unit hypothesis per atom and sign: each check
+    # stores a model, and no more than the store's bound are kept.
+    theory = [parse_clause(f"{p}(Bob) | {p}(Alan) | {p}(Erin)") for p in ("kind", "round")]
+    for p, c, neg in product(("kind", "round"), ("Bob", "Alan", "Erin"), (False, True)):
+        h = Atom(p, (Const(c),))
+        assert oracle_entail(theory, Not(h) if neg else h) == UNKNOWN
+    grounding, _ = _ground(tuple(c.literals for c in theory), (), 24)
+    assert 1 < len(grounding.models) <= _MODEL_STORE_SIZE
+    assert grounding.models.maxlen == _MODEL_STORE_SIZE
+    for m in grounding.models:
+        assert all(pos & m or neg & ~m for pos, neg in grounding.ground)
+
+
+# ---------------------------------------------------------------------------
+# Sampler keys: the structural key stands for the compiled clause.
+
+
+def _clause_key(text: str, lex: Lexicon):
+    """The key the sampler used to compute: the sentence's clause form."""
+    return tuple(c.literals for c in to_clauses(to_sentence(text, lex).formula))
+
+
+def _same_partition(keyed: dict) -> bool:
+    """Do the two keys of each item (structural, clause) group items alike?"""
+    by_struct: dict = {}
+    by_clause: dict = {}
+    for item, (struct, clause) in keyed.items():
+        by_struct.setdefault(struct, set()).add(item)
+        by_clause.setdefault(clause, set()).add(item)
+    return sorted(map(sorted, by_struct.values())) == sorted(map(sorted, by_clause.values()))
+
+
+def test_rule_key_partitions_templates_as_clause_keys_do():
+    attributes = ("kind", "round", "rough", "tall", "happy", "big")
+    lex = Lexicon(entities=("Bob",), attributes=attributes)
+    keyed = {}
+    triples = set()
+    for n in (1, 2, 3):
+        for body in permutations(attributes, n):
+            for head in (a for a in attributes if a not in body):
+                for neg, form in product((False, True), ("people", "if", "everyone")):
+                    text = _render_rule(list(body), head, neg, form)
+                    keyed[text] = (_rule_key(list(body), head, neg), _clause_key(text, lex))
+                    triples.add((frozenset(body), head, neg))
+    assert _same_partition(keyed)
+    # Keyed by (body, head, negated) alone, rules with a negated head that
+    # share a clause would count as different.
+    assert len({s for s, _ in keyed.values()}) == 200 < len(triples)
+    # The negated-head collision: two different rules, one clause.
+    a = _render_rule(["kind", "round"], "rough", True, "if")
+    b = _render_rule(["kind", "rough"], "round", True, "people")
+    assert _clause_key(a, lex) == _clause_key(b, lex)
+    assert _rule_key(["kind", "round"], "rough", True) == _rule_key(["kind", "rough"], "round", True)
+
+
+def test_fact_key_partitions_facts_as_clause_keys_do():
+    # The sampler keys the fact "E is [not] a." by ("fact", E, a, negated).
+    entities, attributes = ("Bob", "Alan", "Erin"), ("kind", "round", "rough")
+    lex = Lexicon(entities=entities, attributes=attributes)
+    keyed = {}
+    for e, a, neg in product(entities, attributes, (False, True)):
+        text = f"{e} is {'not ' if neg else ''}{a}."
+        keyed[text] = (("fact", e, a, neg), _clause_key(text, lex))
+    assert _same_partition(keyed)
+    assert len(keyed) == 18
+
+
+# ---------------------------------------------------------------------------
+# Output bytes, pinned: the JSONL of the first 100 instances of
+# generate(GenConfig(seed=1)) followed by the first 50 of
+# generate_nlsat(GenConfig(seed=1)), as write_jsonl writes them.
+
+_PINNED_STREAM_SHA256 = "c2b9c6c3a1072c8a260a6349ca5775d5d73a97e7e56f4e280aea252588d70907"
+
+
+def test_generated_bytes_are_pinned():
+    h = hashlib.sha256()
+    cfg = GenConfig(seed=1)
+    for inst in [*islice(generate(cfg), 100), *islice(generate_nlsat(cfg), 50)]:
+        h.update((json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n").encode())
+    assert h.hexdigest() == _PINNED_STREAM_SHA256
