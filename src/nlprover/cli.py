@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .datagen import (
     GenConfig,
+    GenerationError,
     GenerationStalledError,
     Instance,
     extract_training_samples,
@@ -212,7 +213,7 @@ def cmd_gen(args) -> int:
         _check_writable(path)
     try:
         instances = list(islice(stream, args.count))
-    except GenerationStalledError as e:
+    except (GenerationError, GenerationStalledError) as e:
         print(f"gen: {e}", file=sys.stderr)
         return EXIT_CONFIG
     records = []

@@ -16,6 +16,11 @@ support), started from different partitions of the input clauses:
   bounds the length of one chain, and steps_used is the length of the
   refutation found (0 when none was).
 
+`refute` leaves its theory set unchanged, so a second call on the same set
+gives the same answer. A proof names each clause by an id: the inputs keep
+theirs, and each resolvent the search reaches is numbered on from the last
+input id in the order it was first reached.
+
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
 finds a given clause's partners through a (predicate, polarity) index
@@ -24,17 +29,15 @@ instead of scanning every usable clause.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .logic import (
     Clause,
     Literal,
     Origin,
-    Subst,
     Var,
     canonical_key,
     canonicalize,
@@ -61,8 +64,8 @@ HALT_NO_PAIR = "no_valid_pair"
 class TheorySet:
     """An ordered clause set with duplicate, tautology and support tracking.
 
-    Insertion order is generation order; ids are 1-based and strictly
-    increasing. No two stored clauses share a canonical form and no stored
+    Insertion order is generation order, and a clause's id is its 1-based
+    position. No two stored clauses share a canonical form and no stored
     clause is a tautology. `realize_fn`, when given, renders a clause in
     natural language; it runs only when `nl_of` asks for a clause, and
     without it a clause renders as its textual form.
@@ -72,7 +75,6 @@ class TheorySet:
     clauses: list[Clause] = field(default_factory=list)
     supported: set[int] = field(default_factory=set)
     _index: dict = field(default_factory=dict)
-    _next_id: int = 1
 
     def add(
         self,
@@ -83,8 +85,8 @@ class TheorySet:
         """Insert a clause, returning (stored clause, was_new).
 
         Tautologies are rejected with (None, False). A clause whose canonical
-        form is already stored returns the existing copy; support marks are
-        merged so the set stays closed under descent.
+        form is already stored returns the existing copy, marked supported
+        when `supported` is set.
         """
         c = canonicalize(clause)
         if is_tautology(c):
@@ -98,8 +100,7 @@ class TheorySet:
             if supported:
                 self.supported.add(existing.id)
             return existing, False
-        c = Clause(c.literals, c.origin, self._next_id)
-        self._next_id += 1
+        c = Clause(c.literals, c.origin, len(self.clauses) + 1)
         self._index[c.literals] = c
         self.clauses.append(c)
         if supported:
@@ -142,8 +143,8 @@ def _complementary_pairs(c1: Clause, c2: Clause) -> list[tuple[int, int]]:
     ]
 
 
-def _resolve_detailed(c1: Clause, c2: Clause) -> list[tuple[Clause, Subst]]:
-    """All binary resolvents of c1 and c2 with the unifier used for each.
+def resolve(c1: Clause, c2: Clause) -> list[Clause]:
+    """All binary resolvents over every complementary unifiable literal pair.
 
     Resolvents are canonicalized; tautologies and canonical duplicates are
     dropped. Order follows literal positions, so the result is deterministic.
@@ -153,7 +154,7 @@ def _resolve_detailed(c1: Clause, c2: Clause) -> list[tuple[Clause, Subst]]:
         return []
     a = _renamed_literals(c1.literals, "lv")
     b = _renamed_literals(c2.literals, "rv")
-    out: list[tuple[Clause, Subst]] = []
+    out: list[Clause] = []
     seen = set()
     for i, j in pairs:
         theta = unify(a[i], b[j])
@@ -164,13 +165,8 @@ def _resolve_detailed(c1: Clause, c2: Clause) -> list[tuple[Clause, Subst]]:
         if is_tautology(res) or res.literals in seen:
             continue
         seen.add(res.literals)
-        out.append((res, theta))
+        out.append(res)
     return out
-
-
-def resolve(c1: Clause, c2: Clause) -> list[Clause]:
-    """All binary resolvents over every complementary unifiable literal pair."""
-    return [r for r, _ in _resolve_detailed(c1, c2)]
 
 
 def can_resolve(c1: Clause, c2: Clause) -> bool:
@@ -221,6 +217,13 @@ def factor_closure(c: Clause) -> list[Clause]:
     return out
 
 
+def inferences(c1: Clause, c2: Clause) -> Iterator[Clause]:
+    """Each binary resolvent of c1 and c2, followed by its factor closure."""
+    for res in resolve(c1, c2):
+        yield res
+        yield from factor_closure(res)
+
+
 # ---------------------------------------------------------------------------
 # Refutation search
 
@@ -229,9 +232,10 @@ def factor_closure(c: Clause) -> list[Clause]:
 class ProofStep:
     """One resolution step in clause text and in natural language.
 
-    `premise_ids` and `conclusion_id` are positions in the theory set the
-    step was found in. No stored record carries that set, so they take no
-    part in equality and are not serialized.
+    `premise_ids` and `conclusion_id` are the ids the search gave the
+    clauses: an input keeps its id in the theory set, and a resolvent is
+    numbered on from the inputs. No stored record carries that set, so they
+    take no part in equality and are not serialized.
     """
 
     premises_fol: tuple[str, str]
@@ -280,10 +284,6 @@ def format_proof(steps: list[ProofStep]) -> list[str]:
     return lines
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 # A derivation recorded during search: (premise, premise, stored conclusion).
 # Searches record these and render a ProofStep only for the returned proof.
 _Derivation = tuple[Clause, Clause, Clause]
@@ -317,8 +317,6 @@ def refute(
         halt, accepted, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
         proof = [_make_step(tset, *d) for d in derivation]
         return RefutationResult(halt == HALT_EMPTY, accepted, proof, halt)
-    if budget > 500:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * budget + 1000))
     return _refute_sos_linear(tset, budget)
 
 
@@ -362,18 +360,17 @@ def _given_clause_loop(
             {p for l in given.literals for p in index.get((l.pred, not l.positive), ())}
         )
         for other in [*(usable[p] for p in positions), given]:
-            for res, _ in _resolve_detailed(given, other):
-                for cand in (res, *factor_closure(res)):
-                    if len(by_conclusion) >= limit:
-                        return HALT_BUDGET, len(by_conclusion), []
-                    if cand.literals in seen:
-                        continue
-                    seen.add(cand.literals)
-                    stored = Clause(cand.literals, Origin.RESOLVENT, first_id + len(by_conclusion))
-                    by_conclusion[stored.id] = (given, other, stored)
-                    if stored.is_empty:
-                        return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
-                    pending.append(stored)
+            for cand in inferences(given, other):
+                if len(by_conclusion) >= limit:
+                    return HALT_BUDGET, len(by_conclusion), []
+                if cand.literals in seen:
+                    continue
+                seen.add(cand.literals)
+                stored = Clause(cand.literals, Origin.RESOLVENT, first_id + len(by_conclusion))
+                by_conclusion[stored.id] = (given, other, stored)
+                if stored.is_empty:
+                    return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
+                pending.append(stored)
         make_usable(given)
     return (HALT_SATURATED if by_conclusion else HALT_NO_PAIR), len(by_conclusion), []
 
@@ -395,7 +392,7 @@ def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Deri
 
 # Resource guard for the backtracking search: pathological inputs could make
 # the depth-first enumeration of bounded-length chains thrash exponentially,
-# so cap the number of descents and report budget exhaustion past it.
+# so cap the number of chain extensions and report budget exhaustion past it.
 _WORK_LIMIT = 50_000
 
 # Cap on the resolvents the saturation pre-check accepts; past it the
@@ -403,14 +400,21 @@ _WORK_LIMIT = 50_000
 _SATURATE_CAP = 20_000
 
 
+class _Frame(NamedTuple):
+    """One clause on the deepening search's current chain."""
+    clause: Clause
+    step: Optional[_Derivation]  # the step that derived it; None for the goal
+    untried: Iterator[tuple[Clause, Clause]]  # (side, candidate) pairs left
+
+
 def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     """Iterative-deepening search over linear derivations of length <= budget.
 
     The given-clause loop, with the goals queued, decides refutability
     first; the deepening search then recovers a shortest-length chain, so
-    steps_used is the found refutation's length (0 when none was found).
-    Every node scans all candidate sides for an immediate empty resolvent
-    before descending.
+    steps_used is the found refutation's length (0 when none was).
+    Every chain clause is scanned for an immediate empty resolvent against
+    all its candidate sides before the chain grows from it.
     """
     # Roots are the support clauses present at entry (goal clauses, plus any
     # theory clause a goal collapsed into at insertion).
@@ -422,63 +426,56 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     if halt in (HALT_SATURATED, HALT_NO_PAIR):
         return RefutationResult(False, 0, [], HALT_NO_PAIR)
 
-    inputs = list(tset.clauses)
-    state = {"work": 0, "truncated": False}
-    trail: list[_Derivation] = []
+    inputs = tset.clauses
+    # Every clause reached, by canonical form: the inputs, then the resolvents
+    # numbered on in first-reach order over all levels and goals.
+    reached = {c.literals: c for c in inputs}
 
-    def candidates(center: Clause, ancestors: list[Clause]):
+    def reach(res: Clause) -> Clause:
+        new = Clause(res.literals, Origin.RESOLVENT, len(reached) + 1)
+        return reached.setdefault(res.literals, new)
+
+    def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]):
+        """Put `clause` on the chain with its inferences against the inputs and
+        the chain's derived clauses; return the refutation if one is empty."""
+        ancestors = [f.clause for f in chain[1:]] + ([clause] if chain else [])
         sides = sorted(inputs + ancestors, key=lambda c: (len(c.literals), c.id))
-        out = []
-        for side in sides:
-            for res, _ in _resolve_detailed(center, side):
-                out.append((side, res))
-                for fc in factor_closure(res):
-                    out.append((side, fc))
-        return out
-
-    def descend(center: Clause, path_keys: set, ancestors: list[Clause], depth_left: int) -> bool:
-        cands = candidates(center, ancestors)
+        cands = [(side, res) for side in sides for res in inferences(clause, side)]
+        chain.append(_Frame(clause, step, iter(cands)))
         for side, res in cands:
             if res.is_empty:
-                stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
-                trail.append((center, side, stored))
-                return True
-        for side, res in cands:
-            if res.is_empty or res.literals in path_keys:
-                continue
-            if depth_left <= 1:
-                state["truncated"] = True
-                continue
-            state["work"] += 1
-            if state["work"] > _WORK_LIMIT:
-                raise _BudgetExhausted
-            stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
-            if stored is None:
-                continue
-            trail.append((center, side, stored))
-            path_keys.add(stored.literals)
-            ancestors.append(stored)
-            if descend(stored, path_keys, ancestors, depth_left - 1):
-                return True
-            ancestors.pop()
-            path_keys.discard(stored.literals)
-            trail.pop()
-        return False
+                return [f.step for f in chain[1:]] + [(clause, side, reach(res))]
+        return None
 
-    limit = 1
-    while limit <= budget:
-        state["truncated"] = False
+    work = 0
+    for limit in range(1, budget + 1):
+        truncated = False
         for goal in goals:
-            trail.clear()
-            try:
-                if descend(goal, {goal.literals}, [], limit):
-                    proof = [_make_step(tset, *d) for d in trail]
-                    return RefutationResult(True, len(trail), proof, HALT_EMPTY)
-            except _BudgetExhausted:
-                return RefutationResult(False, 0, [], HALT_BUDGET)
-        if not state["truncated"]:
+            chain: list[_Frame] = []
+            path_keys = {goal.literals}
+            trail = push(chain, goal, None)
+            while trail is None and chain:
+                top = chain[-1]
+                for side, res in top.untried:
+                    if res.is_empty or res.literals in path_keys:
+                        continue
+                    if len(chain) >= limit:
+                        truncated = True
+                        continue
+                    work += 1
+                    if work > _WORK_LIMIT:
+                        return RefutationResult(False, 0, [], HALT_BUDGET)
+                    stored = reach(res)
+                    path_keys.add(stored.literals)
+                    trail = push(chain, stored, (top.clause, side, stored))
+                    break
+                else:
+                    path_keys.discard(chain.pop().clause.literals)
+            if trail is not None:
+                proof = [_make_step(tset, *d) for d in trail]
+                return RefutationResult(True, len(trail), proof, HALT_EMPTY)
+        if not truncated:
             # every chain bottomed out before the depth limit: deepening
             # further cannot help
             return RefutationResult(False, 0, [], HALT_NO_PAIR)
-        limit += 1
     return RefutationResult(False, 0, [], HALT_BUDGET)

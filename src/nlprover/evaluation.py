@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import factor_closure, resolve
+from .engine import inferences
 from .judge import TRUE, UNKNOWN
 from .language import DEFAULT_LEXICON, Lexicon, to_sentence
 from .logic import ClauseFormatError, canonical_key, parse_clause
@@ -31,13 +31,7 @@ def check_step(premises: tuple[str, str], conclusion: str) -> bool:
     except ClauseFormatError:
         return False
     target = canonical_key(concl)
-    for res in resolve(p1, p2):
-        if canonical_key(res) == target:
-            return True
-        for fc in factor_closure(res):
-            if canonical_key(fc) == target:
-                return True
-    return False
+    return any(canonical_key(c) == target for c in inferences(p1, p2))
 
 
 @dataclass

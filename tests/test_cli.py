@@ -96,6 +96,18 @@ def test_gen_config_error_exits_4_without_output(capsys, tmp_path, flags):
     assert not out and not out_path.exists()
 
 
+def test_gen_engine_oracle_disagreement_exits_4(capsys, tmp_path, monkeypatch):
+    from nlprover.judge import Verdict
+
+    monkeypatch.setattr("nlprover.datagen.judge", lambda *args, **kwargs: Verdict("no label"))
+    out_path = tmp_path / "x.jsonl"
+    code, out, err = run(capsys, "gen", "--out", str(out_path), "--count", "3")
+    assert code == 4
+    assert err.startswith("gen: engine/oracle disagreement: oracle=")
+    assert "engine=no label" in err
+    assert not out and not out_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--training-records"])
 def test_unwritable_gen_output_exits_2_before_generating(capsys, tmp_path, monkeypatch, flag):
     def no_generation(*args, **kwargs):

@@ -1,12 +1,16 @@
+import hashlib
 import json
+import sys
 from collections import deque
 from itertools import islice
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlprover.engine as engine
 from nlprover.datagen import GenConfig, generate, oracle_sat
 from nlprover.engine import (
     HALT_BUDGET,
@@ -19,21 +23,20 @@ from nlprover.engine import (
     ProofStep,
     RefutationResult,
     TheorySet,
-    _BudgetExhausted,
     _Derivation,
     _extract,
     _given_clause_loop,
     _make_step,
     _renamed_literals,
-    _resolve_detailed,
     can_resolve,
     factor,
     factor_closure,
     format_proof,
+    inferences,
     refute,
     resolve,
 )
-from nlprover.judge import nl_renderer
+from nlprover.judge import judge, nl_renderer
 from nlprover.language import DEFAULT_LEXICON, to_sentence
 from nlprover.logic import (
     Clause,
@@ -279,12 +282,68 @@ def test_refuted_iff_oracle_unsat_on_seeded_sets():
             assert result.refuted == (not oracle_sat(clauses))
 
 
-def test_unsupported_resolvents_marked_supported_by_descent():
-    _, t2 = _worked_example_sets()
-    refute(t2, strategy=SOS_LINEAR)
-    for c in t2.clauses:
-        if c.origin is Origin.RESOLVENT:
-            assert t2.is_supported(c.id)
+def _snapshot(tset):
+    return [(c.id, c.literals, c.origin) for c in tset.clauses], set(tset.supported)
+
+
+def _outcome(result):
+    return result.refuted, result.steps_used, result.halt_reason, format_proof(result.proof)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_refute_leaves_theory_set_unchanged(strategy):
+    sets = list(_worked_example_sets())
+    for inst in islice(generate(GenConfig(seed=42)), 10):
+        lex = inst.lexicon()
+        sents = [to_sentence(t, lex).formula for t in inst.theory]
+        h = to_sentence(inst.hypothesis, lex).formula
+        sets.extend(build_theory_sets(sents, h, realize_fn=nl_renderer(lex)))
+    n_refuted = 0
+    for tset in sets:
+        before = _snapshot(tset)
+        first = refute(tset, strategy=strategy)
+        assert _snapshot(tset) == before
+        # A second call on the same set answers the same, ids included.
+        assert _outcome(refute(tset, strategy=strategy)) == _outcome(first)
+        n_refuted += first.refuted
+    assert n_refuted >= 5
+
+
+def test_refute_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    try:
+        _, t2 = _worked_example_sets()
+        assert refute(t2, strategy=SOS_LINEAR, budget=1000).refuted
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# SHA-256 of the proof text below, ids included, as the recursive deepening
+# search that stored every reached clause in the theory set printed it.
+# Instance records and bench digests carry no ids, so this pins the order in
+# which the search numbers the clauses it reaches.
+_PROOF_TEXT_SHA256 = "faac948758ce7bc8f4a38b136ca599e358326196a41e793534aa0e39de2eeb65"
+
+
+def test_proof_text_with_ids_is_pinned():
+    pools = (
+        islice(generate(GenConfig(seed=1)), 60),
+        islice(
+            generate(GenConfig(seed=3, n_entities=2, n_attributes=4, allow_existential=True)), 30
+        ),
+    )
+    digest = hashlib.sha256()
+    for inst in (i for pool in pools for i in pool):
+        lex = inst.lexicon()
+        sentences = [to_sentence(t, lex) for t in inst.theory]
+        hyp = to_sentence(inst.hypothesis, lex)
+        for strategy in STRATEGIES:
+            v = judge(sentences, hyp, strategy=strategy, lexicon=lex)
+            head = [inst.id, strategy, v.label, v.steps_t1, v.steps_t2, v.halt_t1, v.halt_t2]
+            lines = [" ".join(map(str, head)), *format_proof(v.proof)]
+            digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == _PROOF_TEXT_SHA256
 
 
 def _clause_formula(c):
@@ -479,16 +538,24 @@ _PAIRS = st.one_of(
 )
 
 
-def _detailed(pairs):
-    return [(r.literals, r.origin, r.id, theta) for r, theta in pairs]
+def _fields(clauses):
+    return [(r.literals, r.origin, r.id) for r in clauses]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PAIRS)
-def test_resolve_detailed_matches_reference(pair):
+def test_resolve_matches_reference(pair):
     c1, c2 = pair
-    assert _detailed(_resolve_detailed(c1, c2)) == _detailed(_ref_resolve_detailed(c1, c2))
-    assert _detailed(_resolve_detailed(c2, c1)) == _detailed(_ref_resolve_detailed(c2, c1))
+    for a, b in ((c1, c2), (c2, c1)):
+        assert _fields(resolve(a, b)) == _fields(r for r, _ in _ref_resolve_detailed(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS)
+def test_inferences_are_resolvents_then_their_factors(pair):
+    c1, c2 = pair
+    want = [c for r, _ in _ref_resolve_detailed(c1, c2) for c in (r, *factor_closure(r))]
+    assert _fields(inferences(c1, c2)) == _fields(want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,8 +587,13 @@ def test_given_clause_loop_decides_like_reference_saturation(entries):
 
 
 # The unrestricted search before it became the given-clause loop with every
-# clause queued, kept verbatim. It stored resolvents in the theory set and
-# tried factors only of new resolvents.
+# clause queued, kept verbatim but for the kernel call, which now returns
+# the resolvents alone. It stored resolvents in the theory set and tried
+# factors only of new resolvents.
+
+
+class _BudgetExhausted(Exception):
+    pass
 
 
 def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
@@ -545,7 +617,7 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
         while queue:
             given = queue.popleft()
             for other in [*usable, given]:
-                for res, _ in _resolve_detailed(given, other):
+                for res in resolve(given, other):
                     stored = accept(given, other, res)
                     if stored is None:
                         continue
@@ -564,7 +636,7 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
     return RefutationResult(False, len(by_conclusion), [], reason)
 
 
-def _template_clauses(ground):
+def _template_clauses(ground, max_size=3):
     # The shapes the sentence grammar compiles to: unary literals over v1
     # only, or ground. Their resolvents keep that shape, so factoring never
     # applies and the old search's skipped factors cannot show.
@@ -572,7 +644,7 @@ def _template_clauses(ground):
     lit = st.builds(
         lambda pos, pred, a: Literal(pos, pred, (a,)), st.booleans(), st.sampled_from("prs"), arg
     )
-    return st.lists(lit, min_size=1, max_size=3).map(lambda ls: Clause(tuple(ls)))
+    return st.lists(lit, min_size=1, max_size=max_size).map(lambda ls: Clause(tuple(ls)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -602,6 +674,134 @@ def test_unrestricted_matches_reference_on_template_sets(entries, budget):
         want.halt_reason,
         format_proof(want.proof),
     )
+
+
+# The sos-linear search before its deepening ran on an explicit stack, kept
+# verbatim but for the kernel call and its two limits, which are passed in.
+# The recursive descent stored every clause it reached in the theory set,
+# marked supported, so proof ids came from the set.
+
+
+def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
+    goals = [c for c in tset.clauses if tset.is_supported(c.id)]
+    others = [c for c in tset.clauses if not tset.is_supported(c.id)]
+    halt, _, _ = _given_clause_loop(tset, goals, others, saturate_cap)
+    if halt in (HALT_SATURATED, HALT_NO_PAIR):
+        return RefutationResult(False, 0, [], HALT_NO_PAIR)
+
+    inputs = list(tset.clauses)
+    state = {"work": 0, "truncated": False}
+    trail: list[_Derivation] = []
+
+    def candidates(center, ancestors):
+        sides = sorted(inputs + ancestors, key=lambda c: (len(c.literals), c.id))
+        out = []
+        for side in sides:
+            for res in resolve(center, side):
+                out.append((side, res))
+                for fc in factor_closure(res):
+                    out.append((side, fc))
+        return out
+
+    def descend(center, path_keys, ancestors, depth_left):
+        cands = candidates(center, ancestors)
+        for side, res in cands:
+            if res.is_empty:
+                stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
+                trail.append((center, side, stored))
+                return True
+        for side, res in cands:
+            if res.is_empty or res.literals in path_keys:
+                continue
+            if depth_left <= 1:
+                state["truncated"] = True
+                continue
+            state["work"] += 1
+            if state["work"] > work_limit:
+                raise _BudgetExhausted
+            stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
+            if stored is None:
+                continue
+            trail.append((center, side, stored))
+            path_keys.add(stored.literals)
+            ancestors.append(stored)
+            if descend(stored, path_keys, ancestors, depth_left - 1):
+                return True
+            ancestors.pop()
+            path_keys.discard(stored.literals)
+            trail.pop()
+        return False
+
+    limit = 1
+    while limit <= budget:
+        state["truncated"] = False
+        for goal in goals:
+            trail.clear()
+            try:
+                if descend(goal, {goal.literals}, [], limit):
+                    proof = [_make_step(tset, *d) for d in trail]
+                    return RefutationResult(True, len(trail), proof, HALT_EMPTY)
+            except _BudgetExhausted:
+                return RefutationResult(False, 0, [], HALT_BUDGET)
+        if not state["truncated"]:
+            return RefutationResult(False, 0, [], HALT_NO_PAIR)
+        limit += 1
+    return RefutationResult(False, 0, [], HALT_BUDGET)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                _clauses(min_size=1, max_size=2),
+                _template_clauses(False, max_size=2),
+                _template_clauses(True, max_size=2),
+            ),
+            st.booleans(),
+        ),
+        min_size=3,
+        max_size=12,
+    ),
+    st.integers(0, 6),
+)
+def test_sos_linear_matches_recursive_reference(entries, budget):
+    # Short clauses over three predicates make about a fifth of the sets
+    # refutable within the step budget and some more past it. Small limits keep each
+    # example fast; both searches get the same ones.
+    def build():
+        t = TheorySet()
+        for c, supported in entries:
+            t.add(c, supported=supported)
+        return t
+
+    t = build()
+    if not t.clauses:
+        return
+    with mock.patch.object(engine, "_WORK_LIMIT", 200), mock.patch.object(
+        engine, "_SATURATE_CAP", 200
+    ):
+        got = refute(t, strategy=SOS_LINEAR, budget=budget)
+    want = _ref_refute_sos_linear(build(), budget, work_limit=200, saturate_cap=200)
+    assert _outcome(got) == _outcome(want)
+
+
+def test_sos_linear_chain_clause_resolves_with_itself():
+    # The shortest chain resolves the first derived clause with itself; with
+    # only the inputs and earlier clauses as sides it would take 6 steps.
+    t = TheorySet()
+    t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), origin=Origin.NEGATED_HYPOTHESIS)
+    for text in ("-q(v1)", "p(a)", "-p(f(f(f(f(a)))))"):
+        t.add(parse_clause(text))
+    result = refute(t, strategy=SOS_LINEAR)
+    assert (result.refuted, result.steps_used) == (True, 5)
+    assert [line.split(" ;; ")[0] for line in format_proof(result.proof)] == [
+        "STEP 1: [1] -p(v1) | p(f(v1)) | q(v1) | [2] -q(v1) => [5] -p(v1) | p(f(v1))",
+        "STEP 2: [5] -p(v1) | p(f(v1)) | [5] -p(v1) | p(f(v1)) => [11] -p(v1) | p(f(f(v1)))",
+        "STEP 3: [11] -p(v1) | p(f(f(v1))) | [3] p(a) => [18] p(f(f(a)))",
+        "STEP 4: [18] p(f(f(a))) | [11] -p(v1) | p(f(f(v1))) => [53] p(f(f(f(f(a)))))",
+        "STEP 5: [53] p(f(f(f(f(a))))) | [4] -p(f(f(f(f(a))))) => [54] []",
+    ]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
