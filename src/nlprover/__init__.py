@@ -7,7 +7,6 @@ from .logic import (
     Const,
     Func,
     Literal,
-    Origin,
     Var,
     canonicalize,
     clause_to_str,

@@ -92,13 +92,6 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _parse_sentences(texts, lex):
-    try:
-        return [to_sentence(t, lex) for t in texts]
-    except ParseError as e:
-        raise InputError(str(e)) from e
-
-
 def _verdict_payload(instance_id, verdict):
     return {
         "id": instance_id,
@@ -161,8 +154,8 @@ def cmd_prove(args) -> int:
     if not args.theory or not args.hypothesis:
         raise InputError("prove needs --instances, or --theory and --hypothesis")
     lex = _load_lexicon(args.lexicon)
-    sentences = _parse_sentences(_read_theory_file(args.theory), lex)
-    hyp = _parse_sentences([args.hypothesis], lex)[0]
+    sentences = [to_sentence(t, lex) for t in _read_theory_file(args.theory)]
+    hyp = to_sentence(args.hypothesis, lex)
     verdict = judge(sentences, hyp, budget=args.budget, strategy=strategy, lexicon=lex)
     _print_verdict(verdict, args.json)
     return EXIT_OK
@@ -170,7 +163,7 @@ def cmd_prove(args) -> int:
 
 def cmd_sat(args) -> int:
     lex = _load_lexicon(args.lexicon)
-    sentences = _parse_sentences(_read_theory_file(args.theory), lex)
+    sentences = [to_sentence(t, lex) for t in _read_theory_file(args.theory)]
     result = check_sat(sentences, budget=args.budget, lexicon=lex)
     if args.json:
         payload = {
@@ -399,10 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"nlprover: input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParseError as e:
+    except (InputError, ParseError) as e:
         print(f"nlprover: input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

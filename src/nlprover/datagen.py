@@ -47,10 +47,11 @@ from .judge import (
     check_sat,
     judge,
     nl_renderer,
+    refutation_target,
 )
 from .language import Lexicon, Sentence, to_sentence
 from .logic import Clause, Const, Func, Literal, Var, clause_to_str
-from .normalize import Formula, build_sat_set, build_theory_sets, compile_clauses
+from .normalize import Formula, compile_clauses
 
 ORACLE_MAX_ATOMS = 24
 MAX_EXISTENTIAL_FACTS = 2
@@ -782,13 +783,7 @@ def extract_training_samples(inst: Instance) -> list[dict]:
     if inst.label == UNKNOWN:
         raise ValueError("no training records for an Unknown instance")
     lex = inst.lexicon()
-    theory_formulas = [to_sentence(t, lex).formula for t in inst.theory]
-    if inst.label in (TRUE, FALSE):
-        h = to_sentence(inst.hypothesis, lex).formula
-        t1, t2 = build_theory_sets(theory_formulas, h, realize_fn=nl_renderer(lex))
-        target = t2 if inst.label == TRUE else t1
-    else:  # rule-only unsatisfiable theory
-        target = build_sat_set(theory_formulas, realize_fn=nl_renderer(lex))
+    target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex, nl_renderer(lex))
     context = [target.nl_of(c) for c in target.clauses]
     records: list[dict] = []
     for step in inst.gold_proof:

@@ -37,7 +37,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .logic import (
     Clause,
     Literal,
-    Origin,
     Var,
     canonical_key,
     canonicalize,
@@ -66,9 +65,10 @@ class TheorySet:
 
     Insertion order is generation order, and a clause's id is its 1-based
     position. No two stored clauses share a canonical form and no stored
-    clause is a tautology. `realize_fn`, when given, renders a clause in
-    natural language; it runs only when `nl_of` asks for a clause, and
-    without it a clause renders as its textual form.
+    clause is a tautology. `supported` holds the ids of the goal clauses,
+    the roots of the goal-directed search. `realize_fn`, when given, renders
+    a clause in natural language; it runs only when `nl_of` asks for a
+    clause, and without it a clause renders as its textual form.
     """
 
     realize_fn: Optional[Callable[[Clause], str]] = None
@@ -76,13 +76,9 @@ class TheorySet:
     supported: set[int] = field(default_factory=set)
     _index: dict = field(default_factory=dict)
 
-    def add(
-        self,
-        clause: Clause,
-        origin: Optional[Origin] = None,
-        supported: bool = False,
-    ) -> tuple[Optional[Clause], bool]:
-        """Insert a clause, returning (stored clause, was_new).
+    def add(self, clause: Clause, supported: bool = False) -> tuple[Optional[Clause], bool]:
+        """Insert a clause, returning (stored clause, was_new); `supported`
+        marks it a goal.
 
         Tautologies are rejected with (None, False). A clause whose canonical
         form is already stored returns the existing copy, marked supported
@@ -91,16 +87,12 @@ class TheorySet:
         c = canonicalize(clause)
         if is_tautology(c):
             return None, False
-        if origin is not None:
-            c = Clause(c.literals, origin, c.id)
-        if origin == Origin.NEGATED_HYPOTHESIS:
-            supported = True
         existing = self._index.get(c.literals)
         if existing is not None:
             if supported:
                 self.supported.add(existing.id)
             return existing, False
-        c = Clause(c.literals, c.origin, len(self.clauses) + 1)
+        c = Clause(c.literals, len(self.clauses) + 1)
         self._index[c.literals] = c
         self.clauses.append(c)
         if supported:
@@ -161,7 +153,7 @@ def resolve(c1: Clause, c2: Clause) -> list[Clause]:
         if theta is None:
             continue
         rest = a[:i] + a[i + 1 :] + b[:j] + b[j + 1 :]
-        res = canonicalize(subst_clause(theta, Clause(rest, origin=Origin.RESOLVENT)))
+        res = canonicalize(subst_clause(theta, Clause(rest)))
         if is_tautology(res) or res.literals in seen:
             continue
         seen.add(res.literals)
@@ -366,7 +358,7 @@ def _given_clause_loop(
                 if cand.literals in seen:
                     continue
                 seen.add(cand.literals)
-                stored = Clause(cand.literals, Origin.RESOLVENT, first_id + len(by_conclusion))
+                stored = Clause(cand.literals, first_id + len(by_conclusion))
                 by_conclusion[stored.id] = (given, other, stored)
                 if stored.is_empty:
                     return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
@@ -432,7 +424,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     reached = {c.literals: c for c in inputs}
 
     def reach(res: Clause) -> Clause:
-        new = Clause(res.literals, Origin.RESOLVENT, len(reached) + 1)
+        new = Clause(res.literals, len(reached) + 1)
         return reached.setdefault(res.literals, new)
 
     def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]):

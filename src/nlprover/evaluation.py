@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .engine import inferences
-from .judge import TRUE, UNKNOWN
-from .language import DEFAULT_LEXICON, Lexicon, to_sentence
+from .judge import SATISFIABLE, UNKNOWN, refutation_target
+from .language import DEFAULT_LEXICON, Lexicon
 from .logic import ClauseFormatError, canonical_key, parse_clause
-from .normalize import CnfBlowupError, build_theory_sets
+from .normalize import CnfBlowupError
 
 
 def check_step(premises: tuple[str, str], conclusion: str) -> bool:
@@ -52,23 +52,22 @@ class PredictionRecord:
 def check_proof(rec: PredictionRecord, lexicon: Lexicon = DEFAULT_LEXICON) -> bool:
     """Proof validity for one record.
 
-    An Unknown prediction carries no proof and counts as right exactly when
-    the gold label is Unknown. Otherwise every step must be a valid
-    resolution step, every premise must come from the predicted side's
-    input clauses or an earlier conclusion, and the proof must end in the
-    empty clause.
+    An Unknown or Satisfiable prediction carries no proof and counts as
+    right exactly when the gold label is the same. Otherwise every step must
+    be a valid resolution step, every premise must come from the input
+    clauses of the predicted label's refutation target (see
+    `judge.refutation_target`) or an earlier conclusion, and the proof must
+    end in the empty clause.
     """
-    if rec.predicted_label == UNKNOWN:
-        return rec.gold_label == UNKNOWN
-    lex = rec.lexicon or lexicon
+    if rec.predicted_label in (UNKNOWN, SATISFIABLE):
+        return rec.gold_label == rec.predicted_label
     try:
-        theory_formulas = [to_sentence(t, lex).formula for t in rec.theory]
-        h = to_sentence(rec.hypothesis, lex).formula
-        t1, t2 = build_theory_sets(theory_formulas, h)
+        target = refutation_target(
+            rec.theory, rec.hypothesis, rec.predicted_label, rec.lexicon or lexicon
+        )
     except (ValueError, CnfBlowupError):
         # ParseError and UnknownWordError are ValueErrors
         return False
-    target = t2 if rec.predicted_label == TRUE else t1
     available = {c.literals for c in target.clauses}
     if not rec.predicted_proof:
         return False

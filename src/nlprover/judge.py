@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -19,9 +19,17 @@ from .engine import (
     UNRESTRICTED,
     ProofStep,
     RefutationResult,
+    TheorySet,
     refute,
 )
-from .language import DEFAULT_LEXICON, Lexicon, Sentence, UnrealizableError, realize_clause
+from .language import (
+    DEFAULT_LEXICON,
+    Lexicon,
+    Sentence,
+    UnrealizableError,
+    realize_clause,
+    to_sentence,
+)
 from .logic import Clause, clause_to_str
 from .normalize import build_sat_set, build_theory_sets
 
@@ -47,6 +55,26 @@ def nl_renderer(lex: Lexicon) -> Callable[[Clause], str]:
             return clause_to_str(c)
 
     return render
+
+
+def refutation_target(
+    theory: Sequence[str],
+    hypothesis: str,
+    label: str,
+    lexicon: Lexicon,
+    realize_fn: Optional[Callable[[Clause], str]] = None,
+) -> TheorySet:
+    """The clause set a proof of `label` refutes: T2 for True, T1 for False,
+    and the theory alone for any other label (a rule-only refutation). The
+    hypothesis is parsed only when the label needs it. Raises ParseError on
+    a sentence outside the grammar and CnfBlowupError on an oversized
+    clause form."""
+    formulas = [to_sentence(t, lexicon).formula for t in theory]
+    if label not in (TRUE, FALSE):
+        return build_sat_set(formulas, realize_fn=realize_fn)
+    h = to_sentence(hypothesis, lexicon).formula
+    t1, t2 = build_theory_sets(formulas, h, realize_fn=realize_fn)
+    return t2 if label == TRUE else t1
 
 
 @dataclass

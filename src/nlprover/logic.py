@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Union
@@ -79,22 +78,15 @@ class Literal:
         return f"Literal({literal_to_str(self)})"
 
 
-class Origin(Enum):
-    INPUT = "input"
-    RESOLVENT = "resolvent"
-    NEGATED_HYPOTHESIS = "negated_hypothesis"
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class Clause:
     """A disjunction of literals; zero literals means contradiction.
 
-    Equality and hashing ignore `origin` and `id` so that two derivations of
-    the same literal tuple compare equal.
+    Equality and hashing ignore `id` so that two derivations of the same
+    literal tuple compare equal.
     """
 
     literals: tuple[Literal, ...]
-    origin: Origin = Origin.INPUT
     id: Optional[int] = None
 
     @property
@@ -174,7 +166,7 @@ def subst_literal(s: Subst, lit: Literal) -> Literal:
 def subst_clause(s: Subst, c: Clause) -> Clause:
     """Apply a substitution to every literal. Duplicate literals produced by
     the substitution are kept; collapsing them is canonicalize's job."""
-    return Clause(tuple(subst_literal(s, lit) for lit in c.literals), c.origin, c.id)
+    return Clause(tuple(subst_literal(s, lit) for lit in c.literals), c.id)
 
 
 def occurs_in(v: Var, t: Term) -> bool:
@@ -328,7 +320,7 @@ def _canonical_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
 def canonicalize(c: Clause) -> Clause:
     """Deduplicate and sort literals, renaming variables to v1, v2, ... so
     that two clauses are variants iff their canonical forms are identical."""
-    return Clause(_canonical_literals(c.literals), c.origin, c.id)
+    return Clause(_canonical_literals(c.literals), c.id)
 
 
 def canonical_key(c: Clause) -> tuple[Literal, ...]:

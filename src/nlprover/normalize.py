@@ -1,10 +1,12 @@
 """Quantified formulas and their conversion to clause form.
 
-The pipeline is the usual one: eliminate implications and push negations to
-the atoms, rename bound variables apart, pull quantifiers out left to right,
-replace existentials with fresh sk-terms, then distribute disjunction over
-conjunction. The resulting clause set is equisatisfiable with the input
-formula, which is all refutation needs.
+The pipeline has three passes: eliminate implications and push negations to
+the atoms (NNF); one walk that renames each universal apart and replaces each
+existential with a fresh sk-term over the universals before it, leaving the
+quantifier-free matrix (the outer Skolemization of Nonnengart and
+Weidenbach); then distribute disjunction over conjunction. The resulting
+clause set is equisatisfiable with the input formula, which is all
+refutation needs.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from .logic import (
     Const,
     Func,
     Literal,
-    Origin,
     Term,
     Var,
     canonicalize,
     clause_consts,
     is_tautology,
+    subst_term,
     term_consts,
+    term_vars,
 )
 
 
@@ -125,26 +128,12 @@ def _formula_consts(f: Formula) -> Iterable[Const]:
 
 def free_vars(f: Formula, bound: frozenset = frozenset()) -> set[Var]:
     if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            if isinstance(a, Var) and a not in bound:
-                out.add(a)
-            elif isinstance(a, Func):
-                out |= {v for v in _func_vars(a) if v not in bound}
-        return out
+        return {v for a in f.args for v in term_vars(a) if v not in bound}
     if isinstance(f, Not):
         return free_vars(f.f, bound)
     if isinstance(f, (And, Or, Implies)):
         return free_vars(f.a, bound) | free_vars(f.b, bound)
     return free_vars(f.body, bound | {f.var})
-
-
-def _func_vars(t: Func):
-    for a in t.args:
-        if isinstance(a, Var):
-            yield a
-        elif isinstance(a, Func):
-            yield from _func_vars(a)
 
 
 def nnf(f: Formula) -> Formula:
@@ -184,70 +173,30 @@ def negate(f: Formula) -> Formula:
     return nnf(Not(f))
 
 
-def _standardize(f: Formula, env: dict, counter: list[int]) -> Formula:
-    """Rename every bound variable to a fresh one (q1, q2, ...)."""
+def _skolem_matrix(
+    f: Formula, env: dict[Var, Term], universals: list[Var], namer: SkolemNamer
+) -> Formula:
+    """The quantifier-free Skolem matrix of an NNF formula, in one walk.
+
+    `env` maps each bound variable in scope to its replacement. A ForAll
+    binds a fresh variable and appends it to `universals`, which gathers the
+    universals in preorder and is never popped; an Exists binds a fresh
+    sk-term over every universal before it in that order. This is the
+    matrix of prenexing left to right, outside in, then Skolemizing.
+    """
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_std_term(a, env) for a in f.args))
+        return Atom(f.pred, tuple(subst_term(env, a) for a in f.args))
     if isinstance(f, Not):
-        return Not(_standardize(f.f, env, counter))
-    if isinstance(f, And):
-        return And(_standardize(f.a, env, counter), _standardize(f.b, env, counter))
-    if isinstance(f, Or):
-        return Or(_standardize(f.a, env, counter), _standardize(f.b, env, counter))
-    counter[0] += 1
-    fresh = Var(f"q{counter[0]}")
-    inner = dict(env)
-    inner[f.var] = fresh
-    body = _standardize(f.body, inner, counter)
-    return ForAll(fresh, body) if isinstance(f, ForAll) else Exists(fresh, body)
-
-
-def _std_term(t: Term, env: dict) -> Term:
-    if isinstance(t, Var):
-        return env.get(t, t)
-    if isinstance(t, Func):
-        return Func(t.name, tuple(_std_term(a, env) for a in t.args))
-    return t
-
-
-def _prenex(f: Formula) -> tuple[list[tuple[str, Var]], Formula]:
-    """Pull quantifiers to the front, left to right, outside in. Assumes NNF
-    with bound variables already renamed apart."""
-    if isinstance(f, Atom) or isinstance(f, Not):
-        return [], f
+        return Not(_skolem_matrix(f.f, env, universals, namer))
     if isinstance(f, (And, Or)):
-        pa, ma = _prenex(f.a)
-        pb, mb = _prenex(f.b)
-        matrix = And(ma, mb) if isinstance(f, And) else Or(ma, mb)
-        return pa + pb, matrix
-    kind = "forall" if isinstance(f, ForAll) else "exists"
-    prefix, matrix = _prenex(f.body)
-    return [(kind, f.var)] + prefix, matrix
-
-
-def _skolemize(prefix, matrix: Formula, namer: SkolemNamer) -> Formula:
-    env: dict[Var, Term] = {}
-    universals: list[Var] = []
-    for kind, var in prefix:
-        if kind == "forall":
-            universals.append(var)
-        else:
-            env[var] = namer.fresh(tuple(universals))
-    if not env:
-        return matrix
-    return _apply_env(matrix, env)
-
-
-def _apply_env(f: Formula, env: dict) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_std_term(a, env) for a in f.args))
-    if isinstance(f, Not):
-        return Not(_apply_env(f.f, env))
-    if isinstance(f, And):
-        return And(_apply_env(f.a, env), _apply_env(f.b, env))
-    if isinstance(f, Or):
-        return Or(_apply_env(f.a, env), _apply_env(f.b, env))
-    raise AssertionError("quantifier survived prenexing")
+        a = _skolem_matrix(f.a, env, universals, namer)
+        return type(f)(a, _skolem_matrix(f.b, env, universals, namer))
+    if isinstance(f, ForAll):
+        bound = Var(f"q{len(universals) + 1}")
+        universals.append(bound)
+    else:
+        bound = namer.fresh(tuple(universals))
+    return _skolem_matrix(f.body, {**env, f.var: bound}, universals, namer)
 
 
 def _distribute(f: Formula, max_clauses: int) -> list[list[Literal]]:
@@ -284,9 +233,7 @@ def to_clauses(
         raise ValueError("formula has free variables")
     if namer is None:
         namer = SkolemNamer.starting_after([f])
-    g = _standardize(nnf(f), {}, [0])
-    prefix, matrix = _prenex(g)
-    matrix = _skolemize(prefix, matrix, namer)
+    matrix = _skolem_matrix(nnf(f), {}, [], namer)
     out: list[Clause] = []
     seen = set()
     for lits in _distribute(matrix, max_clauses):
@@ -326,6 +273,22 @@ def compile_clauses(
     return theory_clauses, h_clauses, neg_clauses
 
 
+def _theory_set(
+    theory: list[Clause],
+    goals: list[Clause],
+    realize_fn: Optional[Callable[[Clause], str]],
+):
+    """A theory set of the theory clauses, then the goals marked supported."""
+    from .engine import TheorySet
+
+    tset = TheorySet(realize_fn=realize_fn)
+    for c in theory:
+        tset.add(c)
+    for c in goals:
+        tset.add(c, supported=True)
+    return tset
+
+
 def build_theory_sets(
     nlt: Iterable[Formula],
     hypothesis: Formula,
@@ -336,22 +299,14 @@ def build_theory_sets(
     T1 holds the theory plus the hypothesis, T2 the theory plus its negation.
     Theory clauses are normalized once with a shared Skolem namer and reused
     by both sets, so sk-names line up across the two proofs. The goal-side
-    clauses carry origin NEGATED_HYPOTHESIS in both sets; they are the
-    support set for the goal-directed search.
+    clauses are marked supported in each set; they are the support set for
+    the goal-directed search.
     """
-    from .engine import TheorySet
-
     theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis)
-    t1 = TheorySet(realize_fn=realize_fn)
-    t2 = TheorySet(realize_fn=realize_fn)
-    for c in theory_clauses:
-        t1.add(c, origin=Origin.INPUT)
-        t2.add(c, origin=Origin.INPUT)
-    for c in h_clauses:
-        t1.add(c, origin=Origin.NEGATED_HYPOTHESIS)
-    for c in neg_clauses:
-        t2.add(c, origin=Origin.NEGATED_HYPOTHESIS)
-    return t1, t2
+    return (
+        _theory_set(theory_clauses, h_clauses, realize_fn),
+        _theory_set(theory_clauses, neg_clauses, realize_fn),
+    )
 
 
 def build_sat_set(
@@ -360,10 +315,4 @@ def build_sat_set(
 ):
     """The single refutation target of a satisfiability check: the theory
     alone, with no goal clause."""
-    from .engine import TheorySet
-
-    theory_clauses, _, _ = compile_clauses(nlt)
-    tset = TheorySet(realize_fn=realize_fn)
-    for c in theory_clauses:
-        tset.add(c)
-    return tset
+    return _theory_set(compile_clauses(nlt)[0], [], realize_fn)

@@ -202,6 +202,30 @@ def test_gen_nlsat_and_training_records(capsys, tmp_path):
     assert recs and all(r["kind"] in ("pre_s", "post_s", "kc") for r in recs)
 
 
+def test_gold_proofs_of_rule_only_data_check_valid(capsys, tmp_path):
+    gold = tmp_path / "nlsat.jsonl"
+    code, _, _ = run(
+        capsys,
+        "gen", "--nlsat", "--out", str(gold), "--count", "6", "--seed", "7",
+        "--attributes", "12", "--depth-min", "1", "--depth-max", "4",
+    )
+    assert code == 0
+    insts = [json.loads(l) for l in gold.read_text().splitlines()]
+    assert {i["label"] for i in insts} == {"Satisfiable", "Unsatisfiable"}
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": i["id"], "predicted_label": i["label"], "predicted_proof": i["gold_proof"]})
+        + "\n"
+        for i in insts
+    ))
+    code, out, _ = run(capsys, "check", "--proofs", str(preds), "--instances", str(gold))
+    assert code == 0
+    assert out.endswith("valid: 6/6\n")
+    code, out, _ = run(capsys, "eval", "--predictions", str(preds), "--gold", str(gold))
+    assert code == 0
+    assert "EA: 1.0000" in out and "FA: 1.0000" in out
+
+
 def test_missing_prediction_is_input_error(capsys, tmp_path):
     gold = tmp_path / "gold.jsonl"
     run(capsys, "gen", "--out", str(gold), "--count", "3", "--seed", "9")

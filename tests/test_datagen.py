@@ -27,7 +27,7 @@ from nlprover.datagen import (
     oracle_entail,
     oracle_sat,
 )
-from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNKNOWN, UNSATISFIABLE, judge
+from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNKNOWN, UNSATISFIABLE, judge, nl_renderer
 from nlprover.language import DEFAULT_LEXICON, Lexicon, to_sentence
 from nlprover.logic import (
     Clause,
@@ -232,6 +232,24 @@ def test_training_records_refused_for_unknown():
     inst = next(i for i in generate(GenConfig(seed=2)) if i.label == UNKNOWN)
     with pytest.raises(ValueError):
         extract_training_samples(inst)
+
+
+def test_training_records_on_rule_only_data_target_the_theory():
+    # No hypothesis is parsed: a Satisfiable instance has no proof and no
+    # records, and an Unsatisfiable one's first context is its theory,
+    # rendered clause by clause.
+    cfg = GenConfig(seed=9, n_attributes=8, target_depth_range=(1, 6))
+    insts = list(islice(generate_nlsat(cfg, 0.5), 6))
+    assert {i.label for i in insts} == {SATISFIABLE, UNSATISFIABLE}
+    for inst in insts:
+        records = extract_training_samples(inst)
+        if inst.label == SATISFIABLE:
+            assert records == []
+            continue
+        lex = inst.lexicon()
+        clauses, _, _ = compile_clauses(to_sentence(t, lex).formula for t in inst.theory)
+        render = nl_renderer(lex)
+        assert records[0]["context"] == [render(c) for c in dict.fromkeys(clauses)]
 
 
 def test_nlsat_direct_contradiction_labeled():

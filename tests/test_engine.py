@@ -43,7 +43,6 @@ from nlprover.logic import (
     Const,
     Func,
     Literal,
-    Origin,
     Var,
     _canonical_literals,
     canonicalize,
@@ -151,7 +150,7 @@ def test_refute_worked_example_three_steps():
 
 def test_refute_single_unit_clause():
     t = TheorySet()
-    t.add(KIND_BOB, origin=Origin.NEGATED_HYPOTHESIS)
+    t.add(KIND_BOB, supported=True)
     result = refute(t, strategy=SOS_LINEAR)
     assert not result.refuted
     assert result.steps_used == 0
@@ -161,7 +160,7 @@ def test_refute_single_unit_clause():
 def test_refute_unrelated_facts_has_no_valid_pair():
     t = TheorySet()
     for s, goal in (("kind(Bob)", True), ("tall(Bob)", False), ("happy(Bob)", False)):
-        t.add(parse_clause(s), origin=Origin.NEGATED_HYPOTHESIS if goal else Origin.INPUT)
+        t.add(parse_clause(s), supported=goal)
     result = refute(t, strategy=SOS_LINEAR)
     assert not result.refuted
     assert result.halt_reason == HALT_NO_PAIR
@@ -283,7 +282,7 @@ def test_refuted_iff_oracle_unsat_on_seeded_sets():
 
 
 def _snapshot(tset):
-    return [(c.id, c.literals, c.origin) for c in tset.clauses], set(tset.supported)
+    return [(c.id, c.literals) for c in tset.clauses], set(tset.supported)
 
 
 def _outcome(result):
@@ -452,7 +451,7 @@ def _ref_resolve_detailed(c1, c2):
             rest = tuple(l for k, l in enumerate(a.literals) if k != i) + tuple(
                 l for k, l in enumerate(b.literals) if k != j
             )
-            res = canonicalize(subst_clause(theta, Clause(rest, origin=Origin.RESOLVENT)))
+            res = canonicalize(subst_clause(theta, Clause(rest)))
             if is_tautology(res) or res.literals in seen:
                 continue
             seen.add(res.literals)
@@ -539,7 +538,7 @@ _PAIRS = st.one_of(
 
 
 def _fields(clauses):
-    return [(r.literals, r.origin, r.id) for r in clauses]
+    return [(r.literals, r.id) for r in clauses]
 
 
 @settings(max_examples=300, deadline=None)
@@ -607,7 +606,7 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
         if len(by_conclusion) >= budget:
             raise _BudgetExhausted
         supported = tset.is_supported(a.id) or tset.is_supported(b.id)
-        stored, new = tset.add(res, origin=Origin.RESOLVENT, supported=supported)
+        stored, new = tset.add(res, supported=supported)
         if stored is None or not new:
             return None
         by_conclusion[stored.id] = (a, b, stored)
@@ -707,7 +706,7 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
         cands = candidates(center, ancestors)
         for side, res in cands:
             if res.is_empty:
-                stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
+                stored, _ = tset.add(res, supported=True)
                 trail.append((center, side, stored))
                 return True
         for side, res in cands:
@@ -719,7 +718,7 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
             state["work"] += 1
             if state["work"] > work_limit:
                 raise _BudgetExhausted
-            stored, _ = tset.add(res, origin=Origin.RESOLVENT, supported=True)
+            stored, _ = tset.add(res, supported=True)
             if stored is None:
                 continue
             trail.append((center, side, stored))
@@ -790,7 +789,7 @@ def test_sos_linear_chain_clause_resolves_with_itself():
     # The shortest chain resolves the first derived clause with itself; with
     # only the inputs and earlier clauses as sides it would take 6 steps.
     t = TheorySet()
-    t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), origin=Origin.NEGATED_HYPOTHESIS)
+    t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), supported=True)
     for text in ("-q(v1)", "p(a)", "-p(f(f(f(f(a)))))"):
         t.add(parse_clause(text))
     result = refute(t, strategy=SOS_LINEAR)
@@ -810,6 +809,6 @@ def test_refutation_needs_factors_of_duplicate_resolvents(strategy):
     # resolvents whose factors they are duplicate the inputs.
     t = TheorySet()
     t.add(parse_clause("p(v1) | p(v2)"))
-    t.add(parse_clause("-p(v1) | -p(v2)"), origin=Origin.NEGATED_HYPOTHESIS)
+    t.add(parse_clause("-p(v1) | -p(v2)"), supported=True)
     result = refute(t, strategy=strategy)
     assert result.refuted and result.halt_reason == HALT_EMPTY

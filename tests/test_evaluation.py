@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from nlprover.datagen import GenConfig, generate
+from nlprover.datagen import GenConfig, generate, generate_nlsat
 from nlprover.evaluation import (
     DegenerateContrastError,
     PredictionRecord,
@@ -14,7 +14,7 @@ from nlprover.evaluation import (
     score,
     vce_loss,
 )
-from nlprover.judge import judge
+from nlprover.judge import SATISFIABLE, UNSATISFIABLE, judge
 from nlprover.language import to_sentence
 
 RULE = "-kind(v1) | -round(v1) | rough(v1)"
@@ -82,6 +82,23 @@ def test_check_proof_unknown_convention():
     assert check_proof(rec)
     rec = worked_record(predicted_label="Unknown", predicted_proof=[], gold_label="True")
     assert not check_proof(rec)
+
+
+def test_check_proof_on_rule_only_data():
+    # No hypothesis: an Unsatisfiable proof refutes the theory alone, and a
+    # Satisfiable prediction, like Unknown, carries no proof.
+    cfg = GenConfig(seed=9, n_attributes=8, target_depth_range=(1, 6))
+    insts = list(islice(generate_nlsat(cfg, 0.5), 6))
+    assert {i.label for i in insts} == {SATISFIABLE, UNSATISFIABLE}
+    for inst in insts:
+        gold = [(s.premises_fol, s.conclusion_fol) for s in inst.gold_proof]
+        rec = PredictionRecord(
+            inst.id, inst.theory, inst.hypothesis, inst.label, inst.label, gold, inst.lexicon()
+        )
+        assert check_proof(rec)
+        other = SATISFIABLE if inst.label == UNSATISFIABLE else UNSATISFIABLE
+        rec.gold_label = other
+        assert check_proof(rec) == (inst.label == UNSATISFIABLE)
 
 
 def test_check_proof_rejects_altered_middle_step():

@@ -10,10 +10,12 @@ from nlprover.judge import (
     UNSATISFIABLE,
     check_sat,
     judge,
+    refutation_target,
     tie_break,
 )
 from nlprover.language import DEFAULT_LEXICON, to_sentence
-from nlprover.normalize import SkolemNamer, to_clauses
+from nlprover.logic import clause_to_str
+from nlprover.normalize import SkolemNamer, build_theory_sets, to_clauses
 
 LEX = DEFAULT_LEXICON
 
@@ -39,6 +41,24 @@ def test_judge_worked_example_is_true_with_three_steps():
     ]
     assert not v.tie_broken
     assert v.halt_t2 == HALT_EMPTY
+
+
+def test_refutation_target_maps_label_to_clause_set():
+    h = to_sentence("Bob is not kind.", LEX).formula
+    t1, t2 = build_theory_sets([s.formula for s in _sents(WORKED_THEORY)], h)
+
+    def strs(tset):
+        return [clause_to_str(c) for c in tset.clauses], tset.supported
+
+    def target(label, hypothesis="Bob is not kind."):
+        return strs(refutation_target(WORKED_THEORY, hypothesis, label, LEX))
+
+    assert target(TRUE) == strs(t2)
+    assert target(FALSE) == strs(t1)
+    theory = (["-kind(v1) | -round(v1) | rough(v1)", "-rough(v1)", "round(v1)"], set())
+    # any other label refutes the theory alone and never parses the hypothesis
+    for label in (SATISFIABLE, UNSATISFIABLE, UNKNOWN, "Maybe"):
+        assert target(label, hypothesis="") == theory
 
 
 def test_judge_fact_identical_hypothesis():

@@ -1,22 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import formulas_satisfiable
 
 from nlprover.datagen import oracle_sat
-from nlprover.logic import Const, Origin, Var, clause_to_str
+from nlprover.logic import Clause, Const, Func, Term, Var, canonicalize, clause_to_str, is_tautology
 from nlprover.normalize import (
     And,
     Atom,
     CnfBlowupError,
     Exists,
     ForAll,
+    Formula,
     Implies,
+    MAX_CLAUSES_PER_FORMULA,
     Not,
     Or,
     SkolemNamer,
+    _distribute,
     build_theory_sets,
+    free_vars,
     negate,
     nnf,
     to_clauses,
@@ -142,7 +148,8 @@ def test_build_theory_sets_minimal_case():
     t1, t2 = build_theory_sets([Atom("kind", (BOB,))], Atom("kind", (BOB,)))
     assert _strs(t1.clauses) == ["kind(Bob)"]
     assert _strs(t2.clauses) == ["kind(Bob)", "-kind(Bob)"]
-    assert t2.clauses[1].origin is Origin.NEGATED_HYPOTHESIS
+    assert t2.is_supported(t2.clauses[1].id)
+    assert not t2.is_supported(t2.clauses[0].id)
     # the hypothesis clause collapsed into the theory clause in T1 but keeps
     # its support mark there
     assert t1.is_supported(t1.clauses[0].id)
@@ -171,3 +178,178 @@ def test_skolem_namer_avoids_existing_names():
     f = And(Atom("kind", (Const("sk3"),)), Exists(X, Atom("round", (X,))))
     clauses = to_clauses(f, SkolemNamer.starting_after([f]))
     assert "round(sk4)" in _strs(clauses)
+
+
+# ---------------------------------------------------------------------------
+# Reference clause form: rename bound variables apart, prenex left to right,
+# then Skolemize the prefix, each as its own pass over the formula. The
+# one-walk Skolem matrix must give the same clauses and the same sk-names.
+
+
+def _ref_free_vars(f: Formula, bound: frozenset = frozenset()) -> set[Var]:
+    if isinstance(f, Atom):
+        out = set()
+        for a in f.args:
+            if isinstance(a, Var) and a not in bound:
+                out.add(a)
+            elif isinstance(a, Func):
+                out |= {v for v in _ref_func_vars(a) if v not in bound}
+        return out
+    if isinstance(f, Not):
+        return _ref_free_vars(f.f, bound)
+    if isinstance(f, (And, Or, Implies)):
+        return _ref_free_vars(f.a, bound) | _ref_free_vars(f.b, bound)
+    return _ref_free_vars(f.body, bound | {f.var})
+
+
+def _ref_func_vars(t: Func):
+    for a in t.args:
+        if isinstance(a, Var):
+            yield a
+        elif isinstance(a, Func):
+            yield from _ref_func_vars(a)
+
+
+def _standardize(f: Formula, env: dict, counter: list[int]) -> Formula:
+    """Rename every bound variable to a fresh one (q1, q2, ...)."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(_std_term(a, env) for a in f.args))
+    if isinstance(f, Not):
+        return Not(_standardize(f.f, env, counter))
+    if isinstance(f, And):
+        return And(_standardize(f.a, env, counter), _standardize(f.b, env, counter))
+    if isinstance(f, Or):
+        return Or(_standardize(f.a, env, counter), _standardize(f.b, env, counter))
+    counter[0] += 1
+    fresh = Var(f"q{counter[0]}")
+    inner = dict(env)
+    inner[f.var] = fresh
+    body = _standardize(f.body, inner, counter)
+    return ForAll(fresh, body) if isinstance(f, ForAll) else Exists(fresh, body)
+
+
+def _std_term(t: Term, env: dict) -> Term:
+    if isinstance(t, Var):
+        return env.get(t, t)
+    if isinstance(t, Func):
+        return Func(t.name, tuple(_std_term(a, env) for a in t.args))
+    return t
+
+
+def _prenex(f: Formula) -> tuple[list[tuple[str, Var]], Formula]:
+    """Pull quantifiers to the front, left to right, outside in. Assumes NNF
+    with bound variables already renamed apart."""
+    if isinstance(f, Atom) or isinstance(f, Not):
+        return [], f
+    if isinstance(f, (And, Or)):
+        pa, ma = _prenex(f.a)
+        pb, mb = _prenex(f.b)
+        matrix = And(ma, mb) if isinstance(f, And) else Or(ma, mb)
+        return pa + pb, matrix
+    kind = "forall" if isinstance(f, ForAll) else "exists"
+    prefix, matrix = _prenex(f.body)
+    return [(kind, f.var)] + prefix, matrix
+
+
+def _skolemize(prefix, matrix: Formula, namer: SkolemNamer) -> Formula:
+    env: dict[Var, Term] = {}
+    universals: list[Var] = []
+    for kind, var in prefix:
+        if kind == "forall":
+            universals.append(var)
+        else:
+            env[var] = namer.fresh(tuple(universals))
+    if not env:
+        return matrix
+    return _apply_env(matrix, env)
+
+
+def _apply_env(f: Formula, env: dict) -> Formula:
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(_std_term(a, env) for a in f.args))
+    if isinstance(f, Not):
+        return Not(_apply_env(f.f, env))
+    if isinstance(f, And):
+        return And(_apply_env(f.a, env), _apply_env(f.b, env))
+    if isinstance(f, Or):
+        return Or(_apply_env(f.a, env), _apply_env(f.b, env))
+    raise AssertionError("quantifier survived prenexing")
+
+
+def _ref_to_clauses(f, namer, max_clauses):
+    if _ref_free_vars(f):
+        raise ValueError("formula has free variables")
+    g = _standardize(nnf(f), {}, [0])
+    prefix, matrix = _prenex(g)
+    matrix = _skolemize(prefix, matrix, namer)
+    out: list[Clause] = []
+    seen = set()
+    for lits in _distribute(matrix, max_clauses):
+        c = canonicalize(Clause(tuple(lits)))
+        if is_tautology(c) or c.literals in seen:
+            continue
+        seen.add(c.literals)
+        out.append(c)
+    return out
+
+
+_VARS = (Var("x"), Var("y"), Var("z"))
+_terms = st.recursive(
+    st.sampled_from(_VARS) | st.sampled_from((BOB, Const("Alan"), Const("sk2"))),
+    lambda t: st.builds(Func, st.sampled_from("fg"), st.lists(t, min_size=1, max_size=2).map(tuple)),
+    max_leaves=4,
+)
+_atoms = st.builds(Atom, st.sampled_from("pqr"), st.lists(_terms, max_size=3).map(tuple))
+@st.composite
+def _formulas(draw, depth=4):
+    kind = draw(st.sampled_from((Atom, Not, And, And, Or, Implies, ForAll, ForAll, Exists, Exists)))
+    if depth == 0 or kind is Atom:
+        return draw(_atoms)
+    if kind is Not:
+        return Not(draw(_formulas(depth - 1)))
+    if kind in (ForAll, Exists):
+        return kind(draw(st.sampled_from(_VARS)), draw(_formulas(depth - 1)))
+    return kind(draw(_formulas(depth - 1)), draw(_formulas(depth - 1)))
+
+
+def _close(f: Formula, universal: tuple[bool, ...]) -> Formula:
+    for v, u in zip(sorted(free_vars(f), key=lambda v: v.name), universal):
+        f = (ForAll if u else Exists)(v, f)
+    return f
+
+
+_closed = st.builds(_close, _formulas(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+
+
+def _outcome(convert, f, start, max_clauses):
+    namer = SkolemNamer(start)
+    try:
+        got = _strs(convert(f, namer, max_clauses))
+    except CnfBlowupError as e:
+        got = (type(e), str(e))
+    return got, namer.next_index
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _closed,
+    st.integers(1, 5),
+    st.sampled_from((2, 8)) | st.just(MAX_CLAUSES_PER_FORMULA),
+)
+def test_to_clauses_matches_reference_pipeline(f, start, max_clauses):
+    assert free_vars(f) == _ref_free_vars(f) == set()
+    assert _outcome(to_clauses, f, start, max_clauses) == _outcome(
+        _ref_to_clauses, f, start, max_clauses
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.integers(1, 5))
+def test_open_formula_rejected_before_naming(f, start):
+    assert free_vars(f) == _ref_free_vars(f)
+    if not free_vars(f):
+        return
+    namer = SkolemNamer(start)
+    with pytest.raises(ValueError):
+        to_clauses(f, namer)
+    assert namer.next_index == start
