@@ -782,6 +782,8 @@ def extract_training_samples(inst: Instance) -> list[dict]:
     earlier conclusions merge into the theory set."""
     if inst.label == UNKNOWN:
         raise ValueError("no training records for an Unknown instance")
+    if not inst.gold_proof:
+        return []
     lex = inst.lexicon()
     target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex, nl_renderer(lex))
     context = [target.nl_of(c) for c in target.clauses]

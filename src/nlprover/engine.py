@@ -8,13 +8,18 @@ support), started from different partitions of the input clauses:
   the number of accepted resolvents, and steps_used is that number.
 * sos_linear (default): the loop is a decision pre-check. The support
   clauses (goals) are queued, the other clauses start usable, and
-  saturation decides whether the empty clause is reachable. When it may
-  be, an iterative-deepening search recovers a linear chain: the first
-  premise chain starts at a goal clause, every later step keeps the
+  saturation decides whether the empty clause is reachable. Here alone
+  the loop drops a candidate that an input or accepted clause subsumes
+  and queues that subsumer if it was never queued (McCune's Otter moves
+  it into the set of support the same way). When the empty clause may be
+  reachable, an iterative-deepening search recovers a linear chain: the
+  first premise chain starts at a goal clause, every later step keeps the
   previous resolvent as one premise, and the other premise comes from
   the input clauses or an ancestor on the current chain. The budget
   bounds the length of one chain, and steps_used is the length of the
-  refutation found (0 when none was).
+  refutation found (0 when none was). If deepening passes its work limit
+  on a set the pre-check refuted, the pre-check's derivation is returned
+  when it fits the budget: a saturation DAG, not a shortest linear chain.
 
 `refute` leaves its theory set unchanged, so a second call on the same set
 gives the same answer. A proof names each clause by an id: the inputs keep
@@ -44,6 +49,7 @@ from .logic import (
     clause_vars,
     is_tautology,
     subst_clause,
+    subsumes,
     unify,
 )
 
@@ -313,7 +319,11 @@ def refute(
 
 
 def _given_clause_loop(
-    tset: TheorySet, queue: list[Clause], start_usable: list[Clause], limit: int
+    tset: TheorySet,
+    queue: list[Clause],
+    start_usable: list[Clause],
+    limit: int,
+    subsume: bool = False,
 ) -> tuple[str, int, list[_Derivation]]:
     """Saturate under a set of support: `queue` holds the support clauses
     and `start_usable` the clauses that start usable.
@@ -325,6 +335,12 @@ def _given_clause_loop(
     numbered on from the theory set's last id and queued. A candidate that
     arrives after `limit` accepted ones ends the search. The theory set is
     not changed.
+
+    With `subsume`, a new candidate that an input or accepted clause
+    subsumes is dropped instead, and a subsumer from `start_usable` that
+    was never queued is queued (it is usable already, so it is not made
+    usable twice). Without that promotion the support restriction would
+    lose the refutations that go through the subsumer.
 
     Returns the halt reason, the number of accepted resolvents and the
     derivation of the empty clause (empty unless it was reached).
@@ -338,12 +354,31 @@ def _given_clause_loop(
     # (predicate, polarity) -> ascending positions in `usable` of the
     # clauses holding such a literal
     index: dict[tuple[str, bool], list[int]] = {}
+    # (predicate, polarity) of its first literal -> input and accepted
+    # clauses: a subsumer maps that literal to one of the candidate's
+    subsumers: dict[tuple[str, bool], list[Clause]] = {}
+    start_ids = {c.id for c in start_usable}
+    promoted: set[int] = set()
 
     def make_usable(c: Clause) -> None:
         for key in {(l.pred, l.positive) for l in c.literals}:
             index.setdefault(key, []).append(len(usable))
         usable.append(c)
 
+    def add_subsumer(c: Clause) -> None:
+        if subsume and c.literals:
+            first = c.literals[0]
+            subsumers.setdefault((first.pred, first.positive), []).append(c)
+
+    def subsumer_of(cand: Clause) -> Optional[Clause]:
+        for key in dict.fromkeys((l.pred, l.positive) for l in cand.literals):
+            for s in subsumers.get(key, ()):
+                if subsumes(s, cand):
+                    return s
+        return None
+
+    for c in tset.clauses:
+        add_subsumer(c)
     for c in start_usable:
         make_usable(c)
     while pending:
@@ -351,19 +386,30 @@ def _given_clause_loop(
         positions = sorted(
             {p for l in given.literals for p in index.get((l.pred, not l.positive), ())}
         )
-        for other in [*(usable[p] for p in positions), given]:
+        others = [usable[p] for p in positions]
+        if given.id not in promoted:
+            others.append(given)
+        for other in others:
             for cand in inferences(given, other):
                 if len(by_conclusion) >= limit:
                     return HALT_BUDGET, len(by_conclusion), []
                 if cand.literals in seen:
                     continue
                 seen.add(cand.literals)
+                s = subsumer_of(cand) if subsume else None
+                if s is not None:
+                    if s.id in start_ids and s.id not in promoted:
+                        promoted.add(s.id)
+                        pending.append(s)
+                    continue
                 stored = Clause(cand.literals, first_id + len(by_conclusion))
                 by_conclusion[stored.id] = (given, other, stored)
                 if stored.is_empty:
                     return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
                 pending.append(stored)
-        make_usable(given)
+                add_subsumer(stored)
+        if given.id not in promoted:
+            make_usable(given)
     return (HALT_SATURATED if by_conclusion else HALT_NO_PAIR), len(by_conclusion), []
 
 
@@ -402,9 +448,11 @@ class _Frame(NamedTuple):
 def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     """Iterative-deepening search over linear derivations of length <= budget.
 
-    The given-clause loop, with the goals queued, decides refutability
-    first; the deepening search then recovers a shortest-length chain, so
-    steps_used is the found refutation's length (0 when none was).
+    The given-clause loop, with the goals queued and subsumption on,
+    decides refutability first; the deepening search then recovers a
+    shortest-length chain, so steps_used is the found refutation's length
+    (0 when none was). Past the work limit the loop's derivation answers
+    instead, when it fits the budget.
     Every chain clause is scanned for an immediate empty resolvent against
     all its candidate sides before the chain grows from it.
     """
@@ -412,7 +460,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     # theory clause a goal collapsed into at insertion).
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     others = [c for c in tset.clauses if not tset.is_supported(c.id)]
-    halt, _, _ = _given_clause_loop(tset, goals, others, _SATURATE_CAP)
+    halt, _, derivation = _given_clause_loop(tset, goals, others, _SATURATE_CAP, subsume=True)
     # Saturation without the empty clause decides the set; a refutable or
     # capped pre-check leaves the proof to the deepening search.
     if halt in (HALT_SATURATED, HALT_NO_PAIR):
@@ -456,7 +504,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
                         continue
                     work += 1
                     if work > _WORK_LIMIT:
-                        return RefutationResult(False, 0, [], HALT_BUDGET)
+                        return _saturation_fallback(tset, derivation, budget)
                     stored = reach(res)
                     path_keys.add(stored.literals)
                     trail = push(chain, stored, (top.clause, side, stored))
@@ -471,3 +519,15 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
             # further cannot help
             return RefutationResult(False, 0, [], HALT_NO_PAIR)
     return RefutationResult(False, 0, [], HALT_BUDGET)
+
+
+def _saturation_fallback(
+    tset: TheorySet, derivation: list[_Derivation], budget: int
+) -> RefutationResult:
+    """The answer when deepening passes the work limit: the pre-check's
+    derivation of the empty clause when it has one that fits the budget,
+    else budget exhaustion. That derivation is a DAG, not a linear chain."""
+    if not derivation or len(derivation) > budget:
+        return RefutationResult(False, 0, [], HALT_BUDGET)
+    proof = [_make_step(tset, *d) for d in derivation]
+    return RefutationResult(True, len(proof), proof, HALT_EMPTY)

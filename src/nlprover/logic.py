@@ -225,6 +225,48 @@ def unify(a: Literal, b: Literal) -> Optional[Subst]:
     return s
 
 
+def _match_term(p: Term, t: Term, theta: Subst) -> bool:
+    """Extend theta in place so that p under theta is t, binding only
+    variables of p: the variables of t are held fixed."""
+    if isinstance(p, Var):
+        bound = theta.setdefault(p, t)
+        return bound is t or bound == t
+    if isinstance(p, Const):
+        return p == t
+    return (
+        isinstance(t, Func)
+        and p.name == t.name
+        and len(p.args) == len(t.args)
+        and all(_match_term(a, b, theta) for a, b in zip(p.args, t.args))
+    )
+
+
+def _match_literals(ps, k: int, ts, used: int, theta: Subst) -> bool:
+    # Match ps[k:] against the literals of ts whose bits in `used` are clear.
+    if k == len(ps):
+        return True
+    p = ps[k]
+    for j, t in enumerate(ts):
+        if used >> j & 1 or t.positive != p.positive or t.pred != p.pred:
+            continue
+        th = dict(theta)
+        if len(t.args) == len(p.args) and all(
+            _match_term(a, b, th) for a, b in zip(p.args, t.args)
+        ):
+            if _match_literals(ps, k + 1, ts, used | 1 << j, th):
+                return True
+    return False
+
+
+def subsumes(s: Clause, c: Clause) -> bool:
+    """Whether s subsumes c: some substitution of s's variables alone maps
+    each literal of s to a different literal of c (one-way multiset
+    matching). So p(v1) | p(v2) does not subsume p(v1), its factor."""
+    return len(s.literals) <= len(c.literals) and _match_literals(
+        s.literals, 0, c.literals, 0, {}
+    )
+
+
 # ---------------------------------------------------------------------------
 # Ordering and canonical forms
 

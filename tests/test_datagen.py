@@ -252,6 +252,18 @@ def test_training_records_on_rule_only_data_target_the_theory():
         assert records[0]["context"] == [render(c) for c in dict.fromkeys(clauses)]
 
 
+def test_training_records_without_gold_proof_compile_nothing(monkeypatch):
+    import nlprover.normalize as normalize
+
+    inst = next(i for i in generate_nlsat(GenConfig(seed=1), 0.5) if i.label == SATISFIABLE)
+    assert inst.gold_proof == []
+    calls = []
+    real = normalize.to_clauses
+    monkeypatch.setattr(normalize, "to_clauses", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert extract_training_samples(inst) == []
+    assert calls == []
+
+
 def test_nlsat_direct_contradiction_labeled():
     cfg = GenConfig(seed=9, n_attributes=6, target_depth_range=(1, 4))
     insts = list(islice(generate_nlsat(cfg, 1.0), 5))

@@ -1,8 +1,8 @@
 import hashlib
 import json
 import sys
-from collections import deque
-from itertools import islice
+from collections import Counter, deque
+from itertools import islice, product
 from typing import Optional
 from unittest import mock
 
@@ -51,6 +51,7 @@ from nlprover.logic import (
     is_tautology,
     parse_clause,
     subst_clause,
+    subsumes,
     unify,
 )
 from nlprover.normalize import build_theory_sets
@@ -678,13 +679,20 @@ def test_unrestricted_matches_reference_on_template_sets(entries, budget):
 # The sos-linear search before its deepening ran on an explicit stack, kept
 # verbatim but for the kernel call and its two limits, which are passed in.
 # The recursive descent stored every clause it reached in the theory set,
-# marked supported, so proof ids came from the set.
+# marked supported, so proof ids came from the set. Its pre-check has since
+# changed twice, and the reference follows: the pre-check drops subsumed
+# candidates, and its derivation answers when the descent passes the work
+# limit, if it fits the budget. Without subsumption the pre-check can stop
+# on its cap where the subsuming one decides: on -p(v1), the goal
+# p(v1) | r(v1) and -p(v2) | -r(f(v2)), the plain loop derives
+# r(v1) | -r(f(v1)), r(v1) | -r(f(f(v1))), ... up to its cap, and r(v1)
+# subsumes them all.
 
 
 def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     others = [c for c in tset.clauses if not tset.is_supported(c.id)]
-    halt, _, _ = _given_clause_loop(tset, goals, others, saturate_cap)
+    halt, _, derivation = _given_clause_loop(tset, goals, others, saturate_cap, subsume=True)
     if halt in (HALT_SATURATED, HALT_NO_PAIR):
         return RefutationResult(False, 0, [], HALT_NO_PAIR)
 
@@ -741,6 +749,9 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
                     proof = [_make_step(tset, *d) for d in trail]
                     return RefutationResult(True, len(trail), proof, HALT_EMPTY)
             except _BudgetExhausted:
+                if derivation and len(derivation) <= budget:
+                    proof = [_make_step(tset, *d) for d in derivation]
+                    return RefutationResult(True, len(proof), proof, HALT_EMPTY)
                 return RefutationResult(False, 0, [], HALT_BUDGET)
         if not state["truncated"]:
             return RefutationResult(False, 0, [], HALT_NO_PAIR)
@@ -812,3 +823,139 @@ def test_refutation_needs_factors_of_duplicate_resolvents(strategy):
     t.add(parse_clause("-p(v1) | -p(v2)"), supported=True)
     result = refute(t, strategy=strategy)
     assert result.refuted and result.halt_reason == HALT_EMPTY
+
+
+# ---------------------------------------------------------------------------
+# Forward subsumption in the sos-linear pre-check.
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Func):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def _ref_subsumes(s: Clause, c: Clause) -> bool:
+    # Every substitution of s's variables by subterms of c, then multiset
+    # inclusion of s's instance in c: each literal of s needs its own.
+    terms = list(dict.fromkeys(x for l in c.literals for a in l.args for x in _subterms(a)))
+    vs = clause_vars(s)
+    have = Counter(c.literals)
+    for image in product(terms, repeat=len(vs)):
+        if not Counter(subst_clause(dict(zip(vs, image)), s).literals) - have:
+            return True
+    return False
+
+
+def _generalized(draw, lit):
+    # lit with some argument subterms replaced by variables
+    def gen(t):
+        if draw(st.integers(0, 2)) == 0:
+            return draw(_VARS)
+        if isinstance(t, Func):
+            return Func(t.name, tuple(gen(a) for a in t.args))
+        return t
+
+    return Literal(lit.positive, lit.pred, tuple(gen(a) for a in lit.args))
+
+
+@st.composite
+def _subsumption_pairs(draw):
+    # Half the pairs build s from literals of c (repeats allowed) with
+    # arguments generalized, so that s often subsumes c; the rest are free.
+    c = draw(_clauses(max_size=4))
+    if c.literals and draw(st.booleans()):
+        picked = draw(st.lists(st.sampled_from(c.literals), min_size=1, max_size=3))
+        s = Clause(tuple(_generalized(draw, l) for l in picked))
+    else:
+        s = draw(_clauses(max_size=3))
+    return s, c
+
+
+@settings(max_examples=500, deadline=None)
+@given(_subsumption_pairs(), st.booleans())
+def test_subsumes_matches_brute_force(pair, canonical):
+    s, c = pair
+    if canonical:
+        s, c = canonicalize(s), canonicalize(c)
+    assert subsumes(s, c) == _ref_subsumes(s, c)
+
+
+def test_subsumes_is_one_way_multiset_matching():
+    def sub(a, b):
+        return subsumes(parse_clause(a), parse_clause(b))
+
+    assert sub("p(v1)", "p(a) | q(v1,b)")
+    assert sub("q(v1,v2)", "q(v2,v1)")  # the candidate's variables stay fixed
+    assert not sub("q(v1,v1)", "q(v1,v2)")
+    assert not sub("p(a)", "p(v1)")
+    assert not sub("p(v1) | p(v2)", "p(v1)")  # its factor
+    assert not sub("p(v1) | p(v2)", "p(v1) | -p(v2)")
+    assert sub("p(v1) | p(v2)", "p(a) | p(b)")
+    assert not sub("p(v1)", "[]")
+
+
+def _precheck(t, limit, subsume=True):
+    goals = [c for c in t.clauses if t.is_supported(c.id)]
+    others = [c for c in t.clauses if not t.is_supported(c.id)]
+    return _given_clause_loop(t, goals, others, limit, subsume=subsume)
+
+
+def test_sos_precheck_promotes_the_subsumer():
+    # The goal's resolvents p(b) | -r(v1) and q(v1) | r(a) are subsumed by
+    # the unsupported inputs p(v1) and q(v1). Dropped without queueing
+    # their subsumers, the pre-check would end saturated on this refutable
+    # set.
+    t = TheorySet()
+    t.add(parse_clause("p(b) | q(v1)"), supported=True)
+    for text in ("-q(v1) | -r(v1)", "-p(b) | r(a)", "q(v1)", "p(v1)"):
+        t.add(parse_clause(text))
+    halt, accepted, derivation = _precheck(t, 100)
+    assert halt == HALT_EMPTY
+    assert accepted < _precheck(t, 100, subsume=False)[1]
+    assert {d[0].literals for d in derivation} >= {t.clauses[3].literals, t.clauses[4].literals}
+    assert refute(t, strategy=SOS_LINEAR).refuted
+
+
+def _function_free_clauses():
+    lit = st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda p: st.builds(
+            Literal, st.booleans(), st.just(p), st.tuples(*[st.one_of(_VARS, _CONSTS)] * _ARITY[p])
+        )
+    )
+    return st.lists(lit, min_size=1, max_size=2).map(lambda ls: Clause(tuple(ls)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_function_free_clauses(), _template_clauses(True, 2)), st.booleans()),
+        min_size=2,
+        max_size=8,
+    )
+)
+def test_subsuming_precheck_decides_like_reference_saturation(entries):
+    # Set of support is complete when the unsupported clauses are
+    # satisfiable, so on such sets subsumption may change how much the
+    # pre-check explores but not what it decides.
+    t = TheorySet()
+    for c, supported in entries:
+        t.add(c, supported=supported)
+    unsupported = [c for c in t.clauses if not t.is_supported(c.id)]
+    if len(unsupported) == len(t.clauses) or not oracle_sat(unsupported):
+        return
+    want = _ref_sos_saturate(t, cap=60)
+    halt, _, derivation = _precheck(t, 600)
+    if want == "refutable":
+        assert halt == HALT_EMPTY
+    elif want == "saturated":
+        assert halt in (HALT_SATURATED, HALT_NO_PAIR)
+    if halt != HALT_BUDGET:
+        assert (halt == HALT_EMPTY) == (not oracle_sat(t.clauses))
+    # the derivation cites inputs and earlier conclusions only
+    known = {c.id: c for c in t.clauses}
+    for a, b, concl in derivation:
+        assert known.get(a.id) == a and known.get(b.id) == b
+        assert concl.literals in {r.literals for r in inferences(a, b)}
+        known[concl.id] = concl

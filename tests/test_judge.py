@@ -1,4 +1,5 @@
 from itertools import islice
+from unittest import mock
 
 from nlprover.datagen import GenConfig, generate, oracle_entail, oracle_sat
 from nlprover.engine import HALT_BUDGET, HALT_EMPTY, RefutationResult
@@ -178,3 +179,43 @@ def test_judge_relational_fact_with_fol_fallback_rendering():
     assert v.proof[0].premises_nl[1] == "-likes(Bob,Alan)" or (
         v.proof[0].premises_nl[0] == "-likes(Bob,Alan)"
     )
+
+
+# 24 sentences over Bob, Alan and the first 12 attributes of the pool. The
+# saturation pre-check refutes "Bob is not happy." plus the theory, but no
+# linear chain turns up before the deepening search passes its work limit.
+ITEM_THEORY = [
+    "Alan is smart.", "Alan is not calm.", "Bob is not green.", "Alan is not green.",
+    "Bob is quiet.", "Alan is rough.", "If someone is tall and calm then they are blue.",
+    "If someone is happy and brave then they are blue.", "Quiet, rough people are smart.",
+    "Smart people are quiet.", "If someone is tall then they are smart.",
+    "Everyone is not tall or rough.", "Quiet people are rough.", "Kind people are not round.",
+    "Everyone is not blue or tall.", "If someone is quiet and calm then they are brave.",
+    "Everyone is not brave or blue.", "If someone is kind then they are not brave.",
+    "If someone is big and calm then they are rough.", "Happy, smart people are big.",
+    "Big, blue people are round.", "Blue, brave people are smart.",
+    "If someone is big then they are calm.",
+    "If someone is tall and quiet then they are not calm.",
+]
+
+
+def test_work_limit_falls_back_to_the_saturation_proof():
+    import nlprover.engine as engine
+    from nlprover.datagen import ATTR_POOL
+    from nlprover.evaluation import PredictionRecord, check_proof
+    from nlprover.language import Lexicon
+
+    lex = Lexicon(("Bob", "Alan"), tuple(ATTR_POOL[:12]))
+    sents, hyp = _sents(ITEM_THEORY, lex), to_sentence("Bob is not happy.", lex)
+    assert oracle_entail([s.formula for s in sents], hyp.formula) == TRUE
+    with mock.patch.object(engine, "_WORK_LIMIT", 200):
+        v = judge(sents, hyp, lexicon=lex)
+        short = judge(sents, hyp, budget=len(v.proof) - 1, lexicon=lex)
+    assert (v.label, v.halt_t2, v.steps_t2, len(v.proof)) == (TRUE, HALT_EMPTY, 10, 10)
+    # a DAG: the last step resolves two derived clauses
+    assert min(v.proof[-1].premise_ids) > len(ITEM_THEORY) + 1
+    steps = [((s.premises_fol[0], s.premises_fol[1]), s.conclusion_fol) for s in v.proof]
+    rec = PredictionRecord("item", ITEM_THEORY, "Bob is not happy.", TRUE, v.label, steps, lex)
+    assert check_proof(rec, lex)
+    # a derivation longer than the budget is not returned
+    assert (short.label, short.halt_t2, short.proof) == (UNKNOWN, HALT_BUDGET, [])
