@@ -30,7 +30,7 @@ from .datagen import (
 )
 from .engine import DEFAULT_BUDGET, format_proof
 from .evaluation import PredictionRecord, check_proof, score
-from .judge import check_sat, judge
+from .judge import UNKNOWN, check_sat, judge
 from .language import DEFAULT_LEXICON, Lexicon, ParseError, load_lexicon, to_sentence
 
 EXIT_OK = 0
@@ -138,8 +138,10 @@ def cmd_prove(args) -> int:
     if args.instances:
         instances = _read_instances(args.instances)
         work = [(inst, args.budget, strategy) for inst in instances]
-        if args.jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The pool forks every worker up front: no more than work or cores.
+        workers = min(args.jobs, len(work), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_judge_one, work, chunksize=8))
         else:
             results = [_judge_one(w) for w in work]
@@ -212,7 +214,7 @@ def cmd_gen(args) -> int:
     records = []
     if args.training_records:
         for inst in instances:
-            if inst.label in ("True", "False") or (args.nlsat and inst.gold_proof):
+            if inst.label != UNKNOWN:
                 records.extend(extract_training_samples(inst))
     try:
         write_jsonl(instances, args.out)
@@ -314,18 +316,21 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
+        return value
+
+    return parse
 
 
 def _add_common(p):
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET, help="max reasoning steps per theory set")
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="max reasoning steps per theory set")
     p.add_argument("--lexicon", help="lexicon file ([entities]/[attributes]/[relations] sections)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["sos-linear", "unrestricted"],
         default="sos-linear",
     )
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
     _add_common(p)
     p.set_defaults(fn=cmd_prove)
 
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a labeled dataset with gold proofs")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=_non_negative, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entities", type=int, default=4)
     p.add_argument("--attributes", type=int, default=6)

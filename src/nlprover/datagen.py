@@ -56,6 +56,8 @@ from .normalize import Formula, compile_clauses
 ORACLE_MAX_ATOMS = 24
 MAX_EXISTENTIAL_FACTS = 2
 _STALL_LIMIT = 2000
+# Candidate hypotheses judged per sampled theory.
+_MAX_CANDIDATES = 16
 
 NAME_POOL = ("Bob", "Alan", "Erin", "Gary", "Dave", "Fiona")
 ATTR_POOL = (
@@ -363,9 +365,6 @@ class GenConfig:
             )
 
 
-GoldStep = ProofStep
-
-
 @dataclass
 class Instance:
     id: str
@@ -409,7 +408,7 @@ def instance_from_dict(d: dict) -> Instance:
         words = meta.get(key, [])
         if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
             raise TypeError(f"meta.{key} must be a list of words (strings)")
-    return Instance(
+    inst = Instance(
         id=d["id"],
         theory=theory,
         theory_fol=list(d["theory_fol"]),
@@ -420,6 +419,8 @@ def instance_from_dict(d: dict) -> Instance:
         gold_proof=[ProofStep.from_dict(s) for s in d["gold_proof"]],
         meta=meta,
     )
+    inst.lexicon()  # a vocabulary Lexicon rejects raises ValueError here
+    return inst
 
 
 def write_jsonl(instances: Iterable[Instance], path) -> int:
@@ -571,11 +572,7 @@ def _candidate_hypotheses(
 # Generators
 
 
-def generate(
-    config: GenConfig,
-    budget: int = DEFAULT_BUDGET,
-    max_candidates: int = 16,
-) -> Iterator[Instance]:
+def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
     """Endless stream of labeled instances matching the config.
 
     Theories are rejection-sampled from the grammar, discarded when
@@ -585,10 +582,10 @@ def generate(
     checked on the call, before the first instance is asked for.
     """
     config.validate()
-    return _generate(config, budget, max_candidates)
+    return _generate(config, budget)
 
 
-def _generate(config: GenConfig, budget: int, max_candidates: int) -> Iterator[Instance]:
+def _generate(config: GenConfig, budget: int) -> Iterator[Instance]:
     rng = random.Random(config.seed)
     entities = list(NAME_POOL[: config.n_entities])
     attributes = list(ATTR_POOL[: config.n_attributes])
@@ -624,7 +621,7 @@ def _generate(config: GenConfig, budget: int, max_candidates: int) -> Iterator[I
         candidates = _candidate_hypotheses(
             rng, entities, attributes, texts, config.allow_existential
         )
-        for h_text in candidates[:max_candidates]:
+        for h_text in candidates[:_MAX_CANDIDATES]:
             h_sentence = to_sentence(h_text, lex)
             try:
                 label = oracle_entail(clauses, h_sentence.formula)

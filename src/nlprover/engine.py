@@ -1,19 +1,20 @@
 """Binary resolution with factoring and strategy-guided refutation search.
 
 Both strategies run one given-clause loop (Otter's, under Wos's set of
-support), started from different partitions of the input clauses:
+support), started from different partitions of the input clauses. The
+loop drops a candidate that an input or accepted clause subsumes, and
+queues that subsumer if it started usable and was never queued (McCune's
+Otter moves it into the set of support the same way).
 
-* unrestricted: every clause is queued and none starts usable, so every
-  pair of clauses is resolved once, first-in-first-out. The budget bounds
-  the number of accepted resolvents, and steps_used is that number.
+* unrestricted: every clause is queued and none starts usable, so none is
+  promoted and every pair of kept clauses is resolved once, first in
+  first out. The budget bounds the number of accepted resolvents, and
+  steps_used is that number.
 * sos_linear (default): the loop is a decision pre-check. The support
   clauses (goals) are queued, the other clauses start usable, and
-  saturation decides whether the empty clause is reachable. Here alone
-  the loop drops a candidate that an input or accepted clause subsumes
-  and queues that subsumer if it was never queued (McCune's Otter moves
-  it into the set of support the same way). When the empty clause may be
-  reachable, an iterative-deepening search recovers a linear chain: the
-  first premise chain starts at a goal clause, every later step keeps the
+  saturation decides whether the empty clause is reachable. When it may
+  be, an iterative-deepening search recovers a linear chain: the first
+  premise chain starts at a goal clause, every later step keeps the
   previous resolvent as one premise, and the other premise comes from
   the input clauses or an ancestor on the current chain. The budget
   bounds the length of one chain, and steps_used is the length of the
@@ -323,7 +324,6 @@ def _given_clause_loop(
     queue: list[Clause],
     start_usable: list[Clause],
     limit: int,
-    subsume: bool = False,
 ) -> tuple[str, int, list[_Derivation]]:
     """Saturate under a set of support: `queue` holds the support clauses
     and `start_usable` the clauses that start usable.
@@ -331,16 +331,14 @@ def _given_clause_loop(
     Each round takes the oldest queued clause as given, resolves it with
     every usable clause holding a complementary literal, in usable order,
     then with itself, and makes it usable. Each resolvent and each of its
-    factors is a candidate; one whose canonical form is new is accepted,
-    numbered on from the theory set's last id and queued. A candidate that
-    arrives after `limit` accepted ones ends the search. The theory set is
-    not changed.
-
-    With `subsume`, a new candidate that an input or accepted clause
-    subsumes is dropped instead, and a subsumer from `start_usable` that
-    was never queued is queued (it is usable already, so it is not made
-    usable twice). Without that promotion the support restriction would
-    lose the refutations that go through the subsumer.
+    factors is a candidate. One whose canonical form is new and that no
+    input or accepted clause subsumes is accepted, numbered on from the
+    theory set's last id and queued. A subsumed candidate is dropped, and a
+    subsumer from `start_usable` that was never queued is queued (it is
+    usable already, so it is not made usable twice); without that promotion
+    the support restriction would lose the refutations that go through the
+    subsumer. A candidate that arrives after `limit` accepted ones ends the
+    search. The theory set is not changed.
 
     Returns the halt reason, the number of accepted resolvents and the
     derivation of the empty clause (empty unless it was reached).
@@ -366,7 +364,7 @@ def _given_clause_loop(
         usable.append(c)
 
     def add_subsumer(c: Clause) -> None:
-        if subsume and c.literals:
+        if c.literals:
             first = c.literals[0]
             subsumers.setdefault((first.pred, first.positive), []).append(c)
 
@@ -396,7 +394,7 @@ def _given_clause_loop(
                 if cand.literals in seen:
                     continue
                 seen.add(cand.literals)
-                s = subsumer_of(cand) if subsume else None
+                s = subsumer_of(cand)
                 if s is not None:
                     if s.id in start_ids and s.id not in promoted:
                         promoted.add(s.id)
@@ -448,11 +446,11 @@ class _Frame(NamedTuple):
 def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     """Iterative-deepening search over linear derivations of length <= budget.
 
-    The given-clause loop, with the goals queued and subsumption on,
-    decides refutability first; the deepening search then recovers a
-    shortest-length chain, so steps_used is the found refutation's length
-    (0 when none was). Past the work limit the loop's derivation answers
-    instead, when it fits the budget.
+    The given-clause loop, with the goals queued, decides refutability
+    first; the deepening search then recovers a shortest-length chain, so
+    steps_used is the found refutation's length (0 when none was). Past
+    the work limit the loop's derivation answers instead, when it fits the
+    budget.
     Every chain clause is scanned for an immediate empty resolvent against
     all its candidate sides before the chain grows from it.
     """
@@ -460,7 +458,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     # theory clause a goal collapsed into at insertion).
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     others = [c for c in tset.clauses if not tset.is_supported(c.id)]
-    halt, _, derivation = _given_clause_loop(tset, goals, others, _SATURATE_CAP, subsume=True)
+    halt, _, derivation = _given_clause_loop(tset, goals, others, _SATURATE_CAP)
     # Saturation without the empty clause decides the set; a refutable or
     # capped pre-check leaves the proof to the deepening search.
     if halt in (HALT_SATURATED, HALT_NO_PAIR):

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
+from .engine import TheorySet
 from .logic import (
     Clause,
     Const,
@@ -277,10 +278,8 @@ def _theory_set(
     theory: list[Clause],
     goals: list[Clause],
     realize_fn: Optional[Callable[[Clause], str]],
-):
+) -> TheorySet:
     """A theory set of the theory clauses, then the goals marked supported."""
-    from .engine import TheorySet
-
     tset = TheorySet(realize_fn=realize_fn)
     for c in theory:
         tset.add(c)

@@ -271,7 +271,8 @@ def test_08_vce_loss_numerics():
 
 
 def test_09_training_record_extraction():
-    from nlprover.datagen import GoldStep, Instance
+    from nlprover.datagen import Instance
+    from nlprover.engine import ProofStep
     from nlprover.language import DEFAULT_LEXICON
 
     lex = DEFAULT_LEXICON
@@ -286,7 +287,7 @@ def test_09_training_record_extraction():
         label=v.label,
         depth=len(v.proof),
         gold_proof=[
-            GoldStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
+            ProofStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
             for s in v.proof
         ],
         meta={"entities": list(lex.entities), "attributes": list(lex.attributes)},

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nlprover.cli as cli
 from nlprover.cli import main
 
 WORKED_THEORY = (
@@ -259,6 +260,45 @@ def test_prove_instances_parallel_matches_serial(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process
+    and maps in this one."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, size", [("1000", 4, 4), ("3", 4, 3), ("1000", None, None), ("1", 4, None)]
+)
+def test_prove_pool_is_bounded_by_work_and_cores(capsys, tmp_path, monkeypatch, jobs, cores, size):
+    gold = tmp_path / "gold.jsonl"
+    run(capsys, "gen", "--out", str(gold), "--count", "6", "--seed", "8")
+    serial = run(capsys, "prove", "--instances", str(gold), "--jobs", "1", "--json")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    assert run(capsys, "prove", "--instances", str(gold), "--jobs", jobs, "--json") == serial
+    assert _FakePool.sizes == ([] if size is None else [size])
+    # two instances make a pool of two at most, whatever the cores
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(gold.read_text().splitlines(keepends=True)[:2]))
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    assert run(capsys, "prove", "--instances", str(two), "--jobs", jobs)[0] == 0
+    assert _FakePool.sizes == ([] if size is None else [2])
+
+
 def test_prove_json_proof_equals_gen_gold_proof(capsys, tmp_path):
     gold = tmp_path / "gold.jsonl"
     code, _, _ = run(
@@ -391,6 +431,25 @@ def test_prove_non_string_meta_words_exit_2(capsys, gold_and_preds, key):
     assert f"{gold}:2:" in err and f"meta.{key}" in err
 
 
+@pytest.mark.parametrize("command", ["prove", "check", "eval"])
+@pytest.mark.parametrize(
+    "key, words", [("entities", ["Bob", "bob"]), ("attributes", ["kind", "is"])]
+)
+def test_meta_that_makes_no_lexicon_exits_2(capsys, gold_and_preds, command, key, words):
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in gold.read_text().splitlines()]
+    recs[1]["meta"][key] = words
+    gold.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    argv = {
+        "prove": ("--instances", str(gold), "--jobs", "1"),
+        "check": ("--proofs", str(preds), "--instances", str(gold)),
+        "eval": ("--predictions", str(preds), "--gold", str(gold)),
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 2
+    assert f"{gold}:2:" in err and "lexicon" in err and "Traceback" not in err
+
+
 def _usage_exit(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))
@@ -414,6 +473,14 @@ def test_negative_budget_is_config_error(capsys, theory_file, command):
     code, out, err = _usage_exit(capsys, *argv)
     assert code == 4
     assert "--budget" in err and not out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_prove_jobs_below_one_is_config_error(capsys, theory_file, jobs):
+    argv = ["prove", "--theory", theory_file, "--hypothesis", "Bob is kind.", "--jobs", jobs]
+    code, out, err = _usage_exit(capsys, *argv)
+    assert code == 4
+    assert "--jobs" in err and not out
 
 
 def test_zero_budget_and_count_are_accepted(capsys, tmp_path, theory_file):

@@ -199,7 +199,8 @@ def test_training_records_for_worked_example():
     sents = [to_sentence(t, lex) for t in theory]
     h = to_sentence("Bob is not kind.", lex)
     v = judge(sents, h, lexicon=lex)
-    from nlprover.datagen import GoldStep, Instance
+    from nlprover.datagen import Instance
+    from nlprover.engine import ProofStep
 
     inst = Instance(
         id="w",
@@ -210,7 +211,7 @@ def test_training_records_for_worked_example():
         label=v.label,
         depth=len(v.proof),
         gold_proof=[
-            GoldStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
+            ProofStep(s.premises_fol, s.premises_nl, s.conclusion_fol, s.conclusion_nl)
             for s in v.proof
         ],
         meta={"entities": list(lex.entities), "attributes": list(lex.attributes)},
