@@ -12,7 +12,6 @@ from .logic import (
     clause_to_str,
     parse_clause,
     unify,
-    variant_equal,
 )
 from .normalize import (
     And,
@@ -48,7 +47,6 @@ from .engine import (
     ProofStep,
     RefutationResult,
     TheorySet,
-    can_resolve,
     factor,
     format_proof,
     refute,

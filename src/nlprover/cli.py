@@ -329,10 +329,17 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="max reasoning steps per theory set")
-    p.add_argument("--lexicon", help="lexicon file ([entities]/[attributes]/[relations] sections)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+# Flags shared between commands; each command takes only the ones it reads.
+_COMMON = {
+    "--budget": dict(type=_int_at_least(0), default=DEFAULT_BUDGET, help="max reasoning steps per theory set"),
+    "--lexicon": dict(help="lexicon file ([entities]/[attributes]/[relations] sections)"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+
+
+def _add_common(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="sos-linear",
     )
     p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
-    _add_common(p)
+    _add_common(p, "--budget", "--lexicon", "--json")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("sat", help="check a theory for self-contradiction")
     p.add_argument("--theory", required=True)
-    _add_common(p)
+    _add_common(p, "--budget", "--lexicon", "--json")
     p.set_defaults(fn=cmd_sat)
 
     p = sub.add_parser("gen", help="generate a labeled dataset with gold proofs")
@@ -374,19 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nlsat", action="store_true", help="rule-only satisfiability instances")
     p.add_argument("--fraction-unsat", type=float, default=0.5)
     p.add_argument("--training-records", help="also write pre_s/post_s/kc records here")
-    _add_common(p)
+    _add_common(p, "--budget")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True)
-    _add_common(p)
+    _add_common(p, "--json")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="validate predicted proofs step by step")
     p.add_argument("--proofs", required=True, help="predictions JSONL with predicted_proof")
     p.add_argument("--instances", required=True, help="dataset JSONL")
-    _add_common(p)
+    _add_common(p, "--json")
     p.set_defaults(fn=cmd_check)
 
     return parser

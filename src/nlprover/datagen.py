@@ -33,9 +33,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .engine import DEFAULT_BUDGET, ProofStep
 from .judge import (
@@ -572,6 +572,59 @@ def _candidate_hypotheses(
 # Generators
 
 
+class _Draw(NamedTuple):
+    """One accepted candidate: an instance but for its id, depth and meta."""
+
+    theory: list[str]
+    theory_fol: list[str]
+    label: str
+    proof: list[ProofStep]
+    hypothesis: str = ""
+    hypothesis_fol: str = ""
+
+
+def _label_quota_loop(
+    draw: Callable[[str], Optional[_Draw]],
+    mix: dict[str, float],
+    wanted: Callable[[str], str],
+    id_prefix: str,
+    meta: dict,
+) -> Iterator[Instance]:
+    """Endless stream of drawn instances under a label quota.
+
+    Each instance is drawn for the label furthest behind its share of `mix`
+    (ties go to the earlier label), so every prefix of the stream is as
+    close to the mix as arithmetic allows. `draw` samples, labels and proves
+    one candidate of that label, or rejects it with None; after _STALL_LIMIT
+    rejections in a row, GenerationStalledError names what was wanted.
+    Instances are numbered `{id_prefix}-00000` on, each with a copy of
+    `meta`.
+    """
+    counts = dict.fromkeys(mix, 0)
+    for n in count():
+        need = min((l for l in mix if mix[l] > 0), key=lambda l: counts[l] / mix[l])
+        for _ in range(_STALL_LIMIT):
+            d = draw(need)
+            if d is not None:
+                break
+        else:
+            raise GenerationStalledError(
+                f"generation_stalled: no {wanted(need)} after {_STALL_LIMIT} attempts"
+            )
+        counts[d.label] += 1
+        yield Instance(
+            id=f"{id_prefix}-{n:05d}",
+            theory=list(d.theory),
+            theory_fol=d.theory_fol,
+            hypothesis=d.hypothesis,
+            hypothesis_fol=d.hypothesis_fol,
+            label=d.label,
+            depth=len(d.proof),
+            gold_proof=d.proof,
+            meta=dict(meta),
+        )
+
+
 def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
     """Endless stream of labeled instances matching the config.
 
@@ -582,42 +635,23 @@ def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instan
     checked on the call, before the first instance is asked for.
     """
     config.validate()
-    return _generate(config, budget)
-
-
-def _generate(config: GenConfig, budget: int) -> Iterator[Instance]:
     rng = random.Random(config.seed)
     entities = list(NAME_POOL[: config.n_entities])
     attributes = list(ATTR_POOL[: config.n_attributes])
     lex = Lexicon(entities=tuple(entities), attributes=tuple(attributes))
     lo, hi = config.target_depth_range
-    mix = dict(zip((TRUE, FALSE, UNKNOWN), config.label_mix))
-    counts = {TRUE: 0, FALSE: 0, UNKNOWN: 0}
-    order = (TRUE, FALSE, UNKNOWN)
-    emitted = 0
-    stalled = 0
 
-    while True:
-        need = min(
-            (l for l in order if mix[l] > 0),
-            key=lambda l: (counts[l] / mix[l], order.index(l)),
-        )
-        stalled += 1
-        if stalled > _STALL_LIMIT:
-            raise GenerationStalledError(
-                f"generation_stalled: no instance with label {need} and depth in "
-                f"[{lo}, {hi}] after {_STALL_LIMIT} attempts"
-            )
+    def draw(need: str) -> Optional[_Draw]:
         texts = _sample_theory(rng, config, entities, attributes)
         if texts is None:
-            continue
+            return None
         sentences = [to_sentence(t, lex) for t in texts]
         try:
             clauses, theory_fol = _theory_clauses(sentences)
             if not oracle_sat(clauses):
-                continue
+                return None
         except OracleOverflowError:
-            continue
+            return None
         candidates = _candidate_hypotheses(
             rng, entities, attributes, texts, config.allow_existential
         )
@@ -626,7 +660,7 @@ def _generate(config: GenConfig, budget: int) -> Iterator[Instance]:
             try:
                 label = oracle_entail(clauses, h_sentence.formula)
             except OracleOverflowError:
-                break
+                return None
             if label != need:
                 continue
             verdict = judge(sentences, h_sentence, budget=budget, lexicon=lex)
@@ -635,33 +669,26 @@ def _generate(config: GenConfig, budget: int) -> Iterator[Instance]:
                     f"engine/oracle disagreement: oracle={label} "
                     f"engine={verdict.label} on theory={texts!r} h={h_text!r}"
                 )
-            depth = len(verdict.proof)
-            if label != UNKNOWN and not (lo <= depth <= hi):
+            if label != UNKNOWN and not (lo <= len(verdict.proof) <= hi):
                 continue
             # Compiled after the theory clauses, so the hypothesis clause
             # gets the same sk-names the judge assigns.
             _, h_cls, _ = compile_clauses(clauses, h_sentence.formula)
-            inst = Instance(
-                id=f"gen-{config.seed}-{emitted:05d}",
-                theory=list(texts),
-                theory_fol=theory_fol,
-                hypothesis=h_text,
-                hypothesis_fol=clause_to_str(h_cls[0]),
-                label=label,
-                depth=depth,
-                gold_proof=verdict.proof,
-                meta={
-                    "seed": config.seed,
-                    "entities": entities,
-                    "attributes": attributes,
-                    "existential": config.allow_existential,
-                },
-            )
-            counts[label] += 1
-            emitted += 1
-            stalled = 0
-            yield inst
-            break
+            return _Draw(texts, theory_fol, label, verdict.proof, h_text, clause_to_str(h_cls[0]))
+        return None
+
+    return _label_quota_loop(
+        draw,
+        dict(zip((TRUE, FALSE, UNKNOWN), config.label_mix)),
+        lambda need: f"instance with label {need} and depth in [{lo}, {hi}]",
+        f"gen-{config.seed}",
+        {
+            "seed": config.seed,
+            "entities": entities,
+            "attributes": attributes,
+            "existential": config.allow_existential,
+        },
+    )
 
 
 def generate_nlsat(
@@ -677,32 +704,14 @@ def generate_nlsat(
     config.validate(rule_only=True)
     if not 0.0 <= fraction_unsat <= 1.0:
         raise ValueError("fraction_unsat must be in [0, 1]")
-    return _generate_nlsat(config, fraction_unsat, budget)
-
-
-def _generate_nlsat(config: GenConfig, fraction_unsat: float, budget: int) -> Iterator[Instance]:
     rng = random.Random(config.seed)
     attributes = list(ATTR_POOL[: config.n_attributes])
     lex = Lexicon(entities=(), attributes=tuple(attributes))
     lo, hi = config.target_depth_range
     hi = max(1, min(hi, config.n_attributes))
     lo = max(1, min(lo, hi))
-    mix = {UNSATISFIABLE: fraction_unsat, SATISFIABLE: 1.0 - fraction_unsat}
-    counts = {UNSATISFIABLE: 0, SATISFIABLE: 0}
-    order = (UNSATISFIABLE, SATISFIABLE)
-    emitted = 0
-    stalled = 0
 
-    while True:
-        need = min(
-            (l for l in order if mix[l] > 0),
-            key=lambda l: (counts[l] / mix[l], order.index(l)),
-        )
-        stalled += 1
-        if stalled > _STALL_LIMIT:
-            raise GenerationStalledError(
-                f"generation_stalled: no {need} rule-only theory after {_STALL_LIMIT} attempts"
-            )
+    def draw(need: str) -> Optional[_Draw]:
         if need == UNSATISFIABLE:
             depth_target = rng.randint(lo, hi)
             chain = rng.sample(attributes, depth_target)
@@ -730,43 +739,26 @@ def _generate_nlsat(config: GenConfig, fraction_unsat: float, budget: int) -> It
             clauses, theory_fol = _theory_clauses(sentences)
             satisfiable = oracle_sat(clauses)
         except OracleOverflowError:
-            continue
+            return None
         label = SATISFIABLE if satisfiable else UNSATISFIABLE
         if label != need:
-            continue
+            return None
         result = check_sat(sentences, budget=budget, lexicon=lex)
-        if satisfiable:
-            if result.status != SATISFIABLE:
-                raise GenerationError(
-                    f"engine refuted an oracle-satisfiable theory: {texts!r}"
-                )
-            proof = []
-        else:
-            if result.status != UNSATISFIABLE:
-                # In-budget refutation is part of the dataset contract: the
-                # instance must ship with a gold proof.
-                continue
-            proof = result.proof
-        inst = Instance(
-            id=f"nlsat-{config.seed}-{emitted:05d}",
-            theory=list(texts),
-            theory_fol=theory_fol,
-            hypothesis="",
-            hypothesis_fol="",
-            label=label,
-            depth=len(proof),
-            gold_proof=proof,
-            meta={
-                "seed": config.seed,
-                "entities": [],
-                "attributes": attributes,
-                "kind": "nlsat",
-            },
-        )
-        counts[label] += 1
-        emitted += 1
-        stalled = 0
-        yield inst
+        if satisfiable and result.status != SATISFIABLE:
+            raise GenerationError(f"engine refuted an oracle-satisfiable theory: {texts!r}")
+        if result.status != label:
+            # In-budget refutation is part of the dataset contract: an
+            # unsatisfiable instance must ship with a gold proof.
+            return None
+        return _Draw(texts, theory_fol, label, result.proof)
+
+    return _label_quota_loop(
+        draw,
+        {UNSATISFIABLE: fraction_unsat, SATISFIABLE: 1.0 - fraction_unsat},
+        lambda need: f"{need} rule-only theory",
+        f"nlsat-{config.seed}",
+        {"seed": config.seed, "entities": [], "attributes": attributes, "kind": "nlsat"},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ Otter moves it into the set of support the same way).
   on a set the pre-check refuted, the pre-check's derivation is returned
   when it fits the budget: a saturation DAG, not a shortest linear chain.
 
-`refute` leaves its theory set unchanged, so a second call on the same set
-gives the same answer. A proof names each clause by an id: the inputs keep
-theirs, and each resolvent the search reaches is numbered on from the last
-input id in the order it was first reached.
+Each search returns its halt reason, its step count and the derivation of
+the empty clause as (premise, premise, conclusion) triples; `refute` alone
+renders that derivation as proof steps and builds the result. `refute`
+leaves its theory set unchanged, so a second call on the same set gives the
+same answer. A proof names each clause by an id: the inputs keep theirs,
+and each resolvent the search reaches is numbered on from the last input
+id in the order it was first reached.
 
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
@@ -168,17 +171,6 @@ def resolve(c1: Clause, c2: Clause) -> list[Clause]:
     return out
 
 
-def can_resolve(c1: Clause, c2: Clause) -> bool:
-    """Whether some literal of c1 and some literal of c2 have opposite
-    polarity, the same predicate and unifiable argument lists."""
-    pairs = _complementary_pairs(c1, c2)
-    if not pairs:
-        return False
-    a = _renamed_literals(c1.literals, "lv")
-    b = _renamed_literals(c2.literals, "rv")
-    return any(unify(a[i], b[j]) is not None for i, j in pairs)
-
-
 def factor(c: Clause) -> list[Clause]:
     """Clauses obtained by unifying two same-polarity same-predicate literals
     of c and merging them. Tautologies dropped."""
@@ -307,16 +299,18 @@ def refute(
     """Search for the empty clause. The returned proof is the derivation of
     the empty clause (empty when no refutation was found). steps_used is
     the proof's length under sos_linear (0 when none was found) and the
-    number of accepted resolvents under unrestricted."""
+    number of accepted resolvents under unrestricted. Both searches return
+    a derivation, and only this function renders one as proof steps."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not tset.clauses:
         raise ValueError("empty theory set")
     if strategy == UNRESTRICTED:
-        halt, accepted, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
-        proof = [_make_step(tset, *d) for d in derivation]
-        return RefutationResult(halt == HALT_EMPTY, accepted, proof, halt)
-    return _refute_sos_linear(tset, budget)
+        halt, steps, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
+    else:
+        halt, steps, derivation = _refute_sos_linear(tset, budget)
+    proof = [_make_step(tset, *d) for d in derivation]
+    return RefutationResult(halt == HALT_EMPTY, steps, proof, halt)
 
 
 def _given_clause_loop(
@@ -443,16 +437,18 @@ class _Frame(NamedTuple):
     untried: Iterator[tuple[Clause, Clause]]  # (side, candidate) pairs left
 
 
-def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
+def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_Derivation]]:
     """Iterative-deepening search over linear derivations of length <= budget.
 
     The given-clause loop, with the goals queued, decides refutability
-    first; the deepening search then recovers a shortest-length chain, so
-    steps_used is the found refutation's length (0 when none was). Past
-    the work limit the loop's derivation answers instead, when it fits the
-    budget.
+    first; the deepening search then recovers a shortest-length chain.
+    Past the work limit the loop's derivation answers instead, when it fits
+    the budget; that derivation is a DAG, not a linear chain.
     Every chain clause is scanned for an immediate empty resolvent against
     all its candidate sides before the chain grows from it.
+
+    Returns the halt reason, the length of the derivation found (0 when
+    none was) and that derivation of the empty clause.
     """
     # Roots are the support clauses present at entry (goal clauses, plus any
     # theory clause a goal collapsed into at insertion).
@@ -462,7 +458,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
     # Saturation without the empty clause decides the set; a refutable or
     # capped pre-check leaves the proof to the deepening search.
     if halt in (HALT_SATURATED, HALT_NO_PAIR):
-        return RefutationResult(False, 0, [], HALT_NO_PAIR)
+        return HALT_NO_PAIR, 0, []
 
     inputs = tset.clauses
     # Every clause reached, by canonical form: the inputs, then the resolvents
@@ -502,7 +498,9 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
                         continue
                     work += 1
                     if work > _WORK_LIMIT:
-                        return _saturation_fallback(tset, derivation, budget)
+                        if 0 < len(derivation) <= budget:
+                            return HALT_EMPTY, len(derivation), derivation
+                        return HALT_BUDGET, 0, []
                     stored = reach(res)
                     path_keys.add(stored.literals)
                     trail = push(chain, stored, (top.clause, side, stored))
@@ -510,22 +508,10 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> RefutationResult:
                 else:
                     path_keys.discard(chain.pop().clause.literals)
             if trail is not None:
-                proof = [_make_step(tset, *d) for d in trail]
-                return RefutationResult(True, len(trail), proof, HALT_EMPTY)
+                return HALT_EMPTY, len(trail), trail
         if not truncated:
             # every chain bottomed out before the depth limit: deepening
             # further cannot help
-            return RefutationResult(False, 0, [], HALT_NO_PAIR)
-    return RefutationResult(False, 0, [], HALT_BUDGET)
+            return HALT_NO_PAIR, 0, []
+    return HALT_BUDGET, 0, []
 
-
-def _saturation_fallback(
-    tset: TheorySet, derivation: list[_Derivation], budget: int
-) -> RefutationResult:
-    """The answer when deepening passes the work limit: the pre-check's
-    derivation of the empty clause when it has one that fits the budget,
-    else budget exhaustion. That derivation is a DAG, not a linear chain."""
-    if not derivation or len(derivation) > budget:
-        return RefutationResult(False, 0, [], HALT_BUDGET)
-    proof = [_make_step(tset, *d) for d in derivation]
-    return RefutationResult(True, len(proof), proof, HALT_EMPTY)

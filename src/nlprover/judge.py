@@ -31,7 +31,7 @@ from .language import (
     to_sentence,
 )
 from .logic import Clause, clause_to_str
-from .normalize import build_sat_set, build_theory_sets
+from .normalize import build_theory_sets, compile_clauses, theory_set
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,10 @@ LABELS = (TRUE, FALSE, UNKNOWN)
 
 SATISFIABLE = "Satisfiable"
 UNSATISFIABLE = "Unsatisfiable"
+
+# The set a proof of each label refutes, as an index into (T1, T2): T2 for
+# True, T1 for False. Any other label has no hypothesis side.
+_PROOF_SIDE = {TRUE: 1, FALSE: 0}
 
 
 def nl_renderer(lex: Lexicon) -> Callable[[Clause], str]:
@@ -65,16 +69,16 @@ def refutation_target(
     realize_fn: Optional[Callable[[Clause], str]] = None,
 ) -> TheorySet:
     """The clause set a proof of `label` refutes: T2 for True, T1 for False,
-    and the theory alone for any other label (a rule-only refutation). The
-    hypothesis is parsed only when the label needs it. Raises ParseError on
-    a sentence outside the grammar and CnfBlowupError on an oversized
-    clause form."""
+    and the theory alone for any other label (a rule-only refutation). Only
+    that set is built, from one compilation, and the hypothesis is parsed
+    only when the label needs it. Raises ParseError on a sentence outside
+    the grammar and CnfBlowupError on an oversized clause form."""
     formulas = [to_sentence(t, lexicon).formula for t in theory]
-    if label not in (TRUE, FALSE):
-        return build_sat_set(formulas, realize_fn=realize_fn)
+    if label not in _PROOF_SIDE:
+        return theory_set(compile_clauses(formulas)[0], realize_fn=realize_fn)
     h = to_sentence(hypothesis, lexicon).formula
-    t1, t2 = build_theory_sets(formulas, h, realize_fn=realize_fn)
-    return t2 if label == TRUE else t1
+    theory_clauses, *goals = compile_clauses(formulas, h)
+    return theory_set(theory_clauses, goals[_PROOF_SIDE[label]], realize_fn)
 
 
 @dataclass
@@ -113,20 +117,15 @@ def judge(
     )
     r1 = refute(t1, strategy=strategy, budget=budget)
     r2 = refute(t2, strategy=strategy, budget=budget)
-
-    if r1.refuted and r2.refuted:
+    tie = r1.refuted and r2.refuted
+    if tie:
         label = tie_break(r1, r2)
-        proof = r2.proof if label == TRUE else r1.proof if label == FALSE else []
-        tie = True
-    elif r2.refuted:
-        label, proof, tie = TRUE, r2.proof, False
-    elif r1.refuted:
-        label, proof, tie = FALSE, r1.proof, False
     else:
-        label, proof, tie = UNKNOWN, [], False
+        label = TRUE if r2.refuted else FALSE if r1.refuted else UNKNOWN
+    side = _PROOF_SIDE.get(label)
     return Verdict(
         label=label,
-        proof=proof,
+        proof=[] if side is None else (r1, r2)[side].proof,
         steps_t1=r1.steps_used,
         steps_t2=r2.steps_used,
         tie_broken=tie,
@@ -150,7 +149,7 @@ def check_sat(
 ) -> SatResult:
     """Is the theory self-contradictory? No hypothesis and no goal clause,
     so the search runs unrestricted rather than goal-directed."""
-    tset = build_sat_set([s.formula for s in nlt], realize_fn=nl_renderer(lexicon))
+    tset = theory_set(compile_clauses(s.formula for s in nlt)[0], realize_fn=nl_renderer(lexicon))
     result = refute(tset, strategy=UNRESTRICTED, budget=budget)
     status = UNSATISFIABLE if result.refuted else SATISFIABLE
     return SatResult(

@@ -71,9 +71,6 @@ class Literal:
     def __post_init__(self):
         object.__setattr__(self, "pred", sys.intern(self.pred))
 
-    def negated(self) -> "Literal":
-        return Literal(not self.positive, self.pred, self.args)
-
     def __repr__(self):
         return f"Literal({literal_to_str(self)})"
 
@@ -101,9 +98,6 @@ class Clause:
 
     def __repr__(self):
         return f"Clause({clause_to_str(self)})"
-
-
-EMPTY_CLAUSE = Clause(())
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +361,6 @@ def canonicalize(c: Clause) -> Clause:
 
 def canonical_key(c: Clause) -> tuple[Literal, ...]:
     return _canonical_literals(c.literals)
-
-
-def variant_equal(c1: Clause, c2: Clause) -> bool:
-    return canonical_key(c1) == canonical_key(c2)
 
 
 def is_tautology(c: Clause) -> bool:

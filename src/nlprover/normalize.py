@@ -274,12 +274,13 @@ def compile_clauses(
     return theory_clauses, h_clauses, neg_clauses
 
 
-def _theory_set(
-    theory: list[Clause],
-    goals: list[Clause],
-    realize_fn: Optional[Callable[[Clause], str]],
+def theory_set(
+    theory: Iterable[Clause],
+    goals: Iterable[Clause] = (),
+    realize_fn: Optional[Callable[[Clause], str]] = None,
 ) -> TheorySet:
-    """A theory set of the theory clauses, then the goals marked supported."""
+    """A theory set of the theory clauses, then the goals marked supported.
+    Without goals it is the single target of a satisfiability check."""
     tset = TheorySet(realize_fn=realize_fn)
     for c in theory:
         tset.add(c)
@@ -303,15 +304,6 @@ def build_theory_sets(
     """
     theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis)
     return (
-        _theory_set(theory_clauses, h_clauses, realize_fn),
-        _theory_set(theory_clauses, neg_clauses, realize_fn),
+        theory_set(theory_clauses, h_clauses, realize_fn),
+        theory_set(theory_clauses, neg_clauses, realize_fn),
     )
-
-
-def build_sat_set(
-    nlt: Iterable[Formula],
-    realize_fn: Optional[Callable[[Clause], str]] = None,
-):
-    """The single refutation target of a satisfiability check: the theory
-    alone, with no goal clause."""
-    return _theory_set(compile_clauses(nlt)[0], [], realize_fn)

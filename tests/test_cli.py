@@ -78,6 +78,30 @@ def test_bad_flag_exits_4(capsys, theory_file):
     assert e.value.code == 4
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gen", ["--lexicon", "lex.txt"]),
+        ("gen", ["--json"]),
+        ("eval", ["--budget", "5"]),
+        ("eval", ["--lexicon", "lex.txt"]),
+        ("check", ["--budget", "5"]),
+        ("check", ["--lexicon", "lex.txt"]),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x[0].lstrip("-"),
+)
+def test_flag_a_command_does_not_read_exits_4(capsys, tmp_path, command, flag):
+    required = {
+        "gen": ["--out", str(tmp_path / "x.jsonl"), "--count", "2"],
+        "eval": ["--predictions", "p.jsonl", "--gold", "g.jsonl"],
+        "check": ["--proofs", "p.jsonl", "--instances", "g.jsonl"],
+    }
+    with pytest.raises(SystemExit) as e:
+        main([command, *required[command], *flag])
+    assert e.value.code == 4
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_bad_gen_config_exits_4(capsys, tmp_path):
     code, _, err = run(
         capsys, "gen", "--out", str(tmp_path / "x.jsonl"), "--count", "1", "--mix", "2,2,2"

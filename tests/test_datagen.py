@@ -650,14 +650,22 @@ def test_fact_key_partitions_facts_as_clause_keys_do():
 # ---------------------------------------------------------------------------
 # Output bytes, pinned: the JSONL of the first 100 instances of
 # generate(GenConfig(seed=1)) followed by the first 50 of
-# generate_nlsat(GenConfig(seed=1)), as write_jsonl writes them.
+# generate_nlsat(GenConfig(seed=1)), as write_jsonl writes them; and the
+# training records of those of them not labeled Unknown, as
+# write_training_records writes them.
 
 _PINNED_STREAM_SHA256 = "c2b9c6c3a1072c8a260a6349ca5775d5d73a97e7e56f4e280aea252588d70907"
+_PINNED_RECORDS_SHA256 = "9c53b18ea93581bba4c4ee8503c10a8b7f3702a21fa643e9ff1fc6ca18749b1e"
 
 
 def test_generated_bytes_are_pinned():
     h = hashlib.sha256()
+    records = hashlib.sha256()
     cfg = GenConfig(seed=1)
     for inst in [*islice(generate(cfg), 100), *islice(generate_nlsat(cfg), 50)]:
         h.update((json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n").encode())
+        if inst.label != UNKNOWN:
+            for rec in extract_training_samples(inst):
+                records.update((json.dumps(rec, ensure_ascii=False) + "\n").encode())
     assert h.hexdigest() == _PINNED_STREAM_SHA256
+    assert records.hexdigest() == _PINNED_RECORDS_SHA256

@@ -28,7 +28,6 @@ from nlprover.engine import (
     _given_clause_loop,
     _make_step,
     _renamed_literals,
-    can_resolve,
     factor,
     factor_closure,
     format_proof,
@@ -66,18 +65,6 @@ KIND_BOB = parse_clause("kind(Bob)")
 
 def _strs(clauses):
     return sorted(clause_to_str(c) for c in clauses)
-
-
-def test_can_resolve_rule_and_fact():
-    assert can_resolve(RULE, KIND_BOB)
-
-
-def test_can_resolve_unrelated_facts_is_false():
-    assert not can_resolve(KIND_BOB, parse_clause("tall(Bob)"))
-
-
-def test_can_resolve_complementary_units():
-    assert can_resolve(KIND_BOB, parse_clause("-kind(Bob)"))
 
 
 def test_resolve_rule_with_fact():
@@ -465,16 +452,6 @@ def _ref_resolve_detailed(c1, c2):
     return out
 
 
-def _ref_can_resolve(c1, c2):
-    a = _ref_rename_apart(c1, "lv")
-    b = _ref_rename_apart(c2, "rv")
-    for la in a.literals:
-        for lb in b.literals:
-            if la.positive != lb.positive and unify(la, lb) is not None:
-                return True
-    return False
-
-
 def _ref_sos_saturate(tset, cap):
     seen = {c.literals for c in tset.clauses}
     others = list(tset.clauses)
@@ -561,13 +538,6 @@ def test_inferences_are_resolvents_then_their_factors(pair):
     c1, c2 = pair
     want = [c for r, _ in _ref_resolve_detailed(c1, c2) for c in (r, *factor_closure(r))]
     assert _fields(inferences(c1, c2)) == _fields(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_PAIRS)
-def test_can_resolve_matches_reference(pair):
-    c1, c2 = pair
-    assert can_resolve(c1, c2) == _ref_can_resolve(c1, c2)
 
 
 # The unrestricted search before it became the given-clause loop with every

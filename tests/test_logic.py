@@ -18,7 +18,6 @@ from nlprover.logic import (
     subst_clause,
     subst_literal,
     unify,
-    variant_equal,
 )
 
 BOB = Const("Bob")
@@ -165,7 +164,6 @@ def test_variants_share_canonical_form():
         names = list({v.name for l in c.literals for a in l.args for v in _vars_of(a)})
         ren = {Var(n): Var(f"u{i}") for i, n in enumerate(rng.sample(names, len(names)))}
         renamed = subst_clause(ren, c)
-        assert variant_equal(c, renamed)
         assert canonical_key(c) == canonical_key(renamed)
 
 
