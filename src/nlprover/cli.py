@@ -136,6 +136,12 @@ def _judge_one(args):
 def cmd_prove(args) -> int:
     strategy = args.strategy.replace("-", "_")
     if args.instances:
+        # Each instance carries its own theory, hypothesis and lexicon.
+        flags = ("theory", "hypothesis", "lexicon")
+        unread = [f"--{d}" for d in flags if getattr(args, d) is not None]
+        if unread:
+            print(f"prove: config error: {', '.join(unread)} not read with --instances", file=sys.stderr)
+            return EXIT_CONFIG
         instances = _read_instances(args.instances)
         work = [(inst, args.budget, strategy) for inst in instances]
         # The pool forks every worker up front: no more than work or cores.
@@ -182,7 +188,22 @@ def cmd_sat(args) -> int:
     return EXIT_OK
 
 
+# Options that only one of the two generators reads, with their defaults.
+# The parser leaves them None, so that one given to the other is caught.
+_PLAIN_ONLY = {"entities": 4, "facts": 5, "existential": False, "mix": "0.3334,0.3333,0.3333"}
+_NLSAT_ONLY = {"fraction_unsat": 0.5}
+
+
 def cmd_gen(args) -> int:
+    other = _PLAIN_ONLY if args.nlsat else _NLSAT_ONLY
+    unread = [f"--{d.replace('_', '-')}" for d in other if getattr(args, d) is not None]
+    if unread:
+        mode = "with" if args.nlsat else "without"
+        print(f"gen: config error: {', '.join(unread)} not read {mode} --nlsat", file=sys.stderr)
+        return EXIT_CONFIG
+    for dest, default in {**_PLAIN_ONLY, **_NLSAT_ONLY}.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         config = GenConfig(
             seed=args.seed,
@@ -368,18 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entities", type=int, default=4)
+    p.add_argument("--entities", type=int)
     p.add_argument("--attributes", type=int, default=6)
-    p.add_argument("--facts", type=int, default=5)
+    p.add_argument("--facts", type=int)
     p.add_argument("--rules", type=int, default=5)
     p.add_argument("--max-body", type=int, default=2)
     p.add_argument("--p-negation", type=float, default=0.25)
-    p.add_argument("--existential", action="store_true")
+    p.add_argument("--existential", action="store_true", default=None)
     p.add_argument("--depth-min", type=int, default=0)
     p.add_argument("--depth-max", type=int, default=5)
-    p.add_argument("--mix", default="0.3334,0.3333,0.3333", help="True,False,Unknown proportions")
+    p.add_argument("--mix", help="True,False,Unknown proportions")
     p.add_argument("--nlsat", action="store_true", help="rule-only satisfiability instances")
-    p.add_argument("--fraction-unsat", type=float, default=0.5)
+    p.add_argument("--fraction-unsat", type=float)
     p.add_argument("--training-records", help="also write pre_s/post_s/kc records here")
     _add_common(p, "--budget")
     p.set_defaults(fn=cmd_gen)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .engine import DEFAULT_BUDGET, ProofStep
 from .judge import (
@@ -288,7 +288,7 @@ def oracle_sat(clauses: Iterable[Clause], max_atoms: int = ORACLE_MAX_ATOMS) -> 
 
 
 def oracle_entail(
-    theory: Iterable[Clause],
+    theory: Iterable[Union[Formula, Clause]],
     hypothesis: Formula,
     max_atoms: int = ORACLE_MAX_ATOMS,
 ) -> str:
@@ -297,7 +297,9 @@ def oracle_entail(
 
     Both checks run as satisfiability questions over the theory plus the
     clause form of the (negated) hypothesis, so universal hypotheses get
-    their witness constant for free.
+    their witness constant for free. Clause items of the theory are used
+    as compiled, as `judge` uses them: a hypothesis that names an `skN`
+    pseudo-entity needs the theory as formulas.
     """
     theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
     key = tuple(c.literals for c in theory)
@@ -527,8 +529,8 @@ def _sample_theory(
 
 
 def _theory_clauses(sentences: list[Sentence]) -> tuple[list[Clause], list[str]]:
-    """The theory's clauses, Skolem-named exactly as the judge will name them
-    when it compiles the same sentences, and their FOL strings.
+    """The theory's clauses and their FOL strings. The oracle and the engine
+    both decide these clauses, and the hypothesis is compiled after them.
 
     Each generator template (a literal fact, or a rule whose head is not in
     its body) compiles to one clause, so clause i is sentence i's. Only the
@@ -663,7 +665,7 @@ def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instan
                 return None
             if label != need:
                 continue
-            verdict = judge(sentences, h_sentence, budget=budget, lexicon=lex)
+            verdict = judge(clauses, h_sentence, budget=budget, lexicon=lex)
             if verdict.label != label:
                 raise GenerationError(
                     f"engine/oracle disagreement: oracle={label} "
@@ -671,8 +673,8 @@ def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instan
                 )
             if label != UNKNOWN and not (lo <= len(verdict.proof) <= hi):
                 continue
-            # Compiled after the theory clauses, so the hypothesis clause
-            # gets the same sk-names the judge assigns.
+            # Compiled after the theory clauses, as the oracle and the judge
+            # compiled it.
             _, h_cls, _ = compile_clauses(clauses, h_sentence.formula)
             return _Draw(texts, theory_fol, label, verdict.proof, h_text, clause_to_str(h_cls[0]))
         return None
@@ -743,7 +745,7 @@ def generate_nlsat(
         label = SATISFIABLE if satisfiable else UNSATISFIABLE
         if label != need:
             return None
-        result = check_sat(sentences, budget=budget, lexicon=lex)
+        result = check_sat(clauses, budget=budget, lexicon=lex)
         if satisfiable and result.status != SATISFIABLE:
             raise GenerationError(f"engine refuted an oracle-satisfiable theory: {texts!r}")
         if result.status != label:

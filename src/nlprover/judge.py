@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -106,14 +106,23 @@ def tie_break(r1: RefutationResult, r2: RefutationResult) -> str:
 
 
 def judge(
-    nlt: Sequence[Sentence],
+    nlt: Sequence[Union[Sentence, Clause]],
     hypothesis: Sentence,
     budget: int = DEFAULT_BUDGET,
     strategy: str = SOS_LINEAR,
     lexicon: Lexicon = DEFAULT_LEXICON,
 ) -> Verdict:
+    """Label `hypothesis` against the theory `nlt`, given as sentences or
+    as the clauses `compile_clauses` made of them; clauses are used as
+    compiled. A theory compiled alone names its existentials sk1, sk2, ...,
+    so a hypothesis that names an `skN` pseudo-entity ("person sk1 is
+    kind.") would speak of that witness. Pass such a theory as sentences:
+    compiled with the hypothesis, its sk-names start after the
+    hypothesis's."""
     t1, t2 = build_theory_sets(
-        [s.formula for s in nlt], hypothesis.formula, realize_fn=nl_renderer(lexicon)
+        [s if isinstance(s, Clause) else s.formula for s in nlt],
+        hypothesis.formula,
+        realize_fn=nl_renderer(lexicon),
     )
     r1 = refute(t1, strategy=strategy, budget=budget)
     r2 = refute(t2, strategy=strategy, budget=budget)
@@ -143,13 +152,16 @@ class SatResult:
 
 
 def check_sat(
-    nlt: Sequence[Sentence],
+    nlt: Sequence[Union[Sentence, Clause]],
     budget: int = DEFAULT_BUDGET,
     lexicon: Lexicon = DEFAULT_LEXICON,
 ) -> SatResult:
     """Is the theory self-contradictory? No hypothesis and no goal clause,
-    so the search runs unrestricted rather than goal-directed."""
-    tset = theory_set(compile_clauses(s.formula for s in nlt)[0], realize_fn=nl_renderer(lexicon))
+    so the search runs unrestricted rather than goal-directed. The theory
+    is given as sentences or as their compiled clauses, which are used as
+    they are."""
+    clauses = compile_clauses(s if isinstance(s, Clause) else s.formula for s in nlt)[0]
+    tset = theory_set(clauses, realize_fn=nl_renderer(lexicon))
     result = refute(tset, strategy=UNRESTRICTED, budget=budget)
     status = UNSATISFIABLE if result.refuted else SATISFIABLE
     return SatResult(

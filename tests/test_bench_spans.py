@@ -1,11 +1,13 @@
 """The benchmark's tracer (bench/spans.py) patches nlprover names from
 outside the package and fails loudly when one is gone. This runs it on the
 worked example, on a self-contradictory rule set and on one generated
-instance, so a refactor that moves a patch point fails here too, not only
+instance, and holds the generator streams to the gen-default workload's
+contract, so a refactor that moves a patch point fails here too, not only
 in a traced benchmark run."""
 
 import importlib
 import importlib.util
+from itertools import islice
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -66,3 +68,34 @@ def test_bench_tracer_patch_points_record_calls():
     ):
         assert tracer.counts[metric] > 0, metric
     assert judge.realize_clause is language.realize_clause is original
+
+
+def test_gen_default_tracer_contract():
+    # Every boundary the gen-default workload is assigned must record calls
+    # when the generators, the record extractor and the proof checker run
+    # through the names the tracer patches.
+    datagen = importlib.import_module("nlprover.datagen")
+    evaluation = importlib.import_module("nlprover.evaluation")
+    tracer = _load_spans().Tracer("gen-default")
+    tracer.install()
+    try:
+        streams = (
+            datagen.generate(datagen.GenConfig(seed=1)),
+            datagen.generate_nlsat(
+                datagen.GenConfig(seed=1, n_attributes=12, target_depth_range=(1, 12))
+            ),
+        )
+        for stream in streams:
+            for inst in islice(stream, 4):
+                if not inst.gold_proof:
+                    continue
+                assert len(datagen.extract_training_samples(inst)) == 4 * len(inst.gold_proof)
+                proof = [(s.premises_fol, s.conclusion_fol) for s in inst.gold_proof]
+                rec = evaluation.PredictionRecord(
+                    inst.id, inst.theory, inst.hypothesis, inst.label, inst.label, proof,
+                    inst.lexicon(),
+                )
+                assert evaluation.check_proof(rec), inst.id
+    finally:
+        tracer.uninstall()
+    tracer.check_assigned()

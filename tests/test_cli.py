@@ -102,6 +102,35 @@ def test_flag_a_command_does_not_read_exits_4(capsys, tmp_path, command, flag):
     assert flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        (["--nlsat"], ["--facts", "1"]),
+        (["--nlsat"], ["--entities", "1"]),
+        (["--nlsat"], ["--existential"]),
+        (["--nlsat"], ["--mix", "1,0,0"]),
+        ([], ["--fraction-unsat", "1"]),
+    ],
+    ids=["nlsat-facts", "nlsat-entities", "nlsat-existential", "nlsat-mix", "plain-fraction-unsat"],
+)
+def test_gen_flag_the_generator_does_not_read_exits_4(capsys, tmp_path, mode, flag):
+    out_path = tmp_path / "x.jsonl"
+    code, out, err = run(capsys, "gen", "--out", str(out_path), "--count", "1", *mode, *flag)
+    assert code == 4
+    assert err.startswith("gen: config error:") and flag[0] in err
+    assert not out and not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--theory", "--hypothesis", "--lexicon"])
+def test_prove_instances_rejects_single_pair_flags(capsys, tmp_path, flag):
+    gold = tmp_path / "g.jsonl"
+    assert run(capsys, "gen", "--out", str(gold), "--count", "1")[0] == 0
+    code, out, err = run(capsys, "prove", "--instances", str(gold), flag, "x", "--jobs", "1")
+    assert code == 4
+    assert err.startswith("prove: config error:") and flag in err
+    assert not out
+
+
 def test_bad_gen_config_exits_4(capsys, tmp_path):
     code, _, err = run(
         capsys, "gen", "--out", str(tmp_path / "x.jsonl"), "--count", "1", "--mix", "2,2,2"

@@ -1,8 +1,10 @@
 from itertools import islice
 from unittest import mock
 
-from nlprover.datagen import GenConfig, generate, oracle_entail, oracle_sat
-from nlprover.engine import HALT_BUDGET, HALT_EMPTY, RefutationResult
+import pytest
+
+from nlprover.datagen import GenConfig, generate, generate_nlsat, oracle_entail, oracle_sat
+from nlprover.engine import HALT_BUDGET, HALT_EMPTY, RefutationResult, format_proof
 from nlprover.judge import (
     FALSE,
     SATISFIABLE,
@@ -16,7 +18,7 @@ from nlprover.judge import (
 )
 from nlprover.language import DEFAULT_LEXICON, to_sentence
 from nlprover.logic import clause_to_str
-from nlprover.normalize import SkolemNamer, build_theory_sets, to_clauses
+from nlprover.normalize import SkolemNamer, build_theory_sets, compile_clauses, to_clauses
 
 LEX = DEFAULT_LEXICON
 
@@ -164,6 +166,61 @@ def test_at_most_one_side_refuted_on_consistent_theories():
         lex = inst.lexicon()
         v = judge(_sents(inst.theory, lex), to_sentence(inst.hypothesis, lex), lexicon=lex)
         assert not v.tie_broken
+
+
+# The generator's three shapes, as `gen`, `gen --existential` and
+# `gen --nlsat` draw them.
+GENERATED = {
+    "default": lambda: generate(GenConfig(seed=3)),
+    "existential": lambda: generate(
+        GenConfig(seed=3, n_entities=2, n_attributes=4, allow_existential=True)
+    ),
+    "nlsat": lambda: generate_nlsat(GenConfig(seed=3, n_attributes=12, target_depth_range=(1, 12))),
+}
+
+
+def _verdict_key(v):
+    return (
+        v.label, v.steps_t1, v.steps_t2, v.halt_t1, v.halt_t2, v.tie_broken,
+        format_proof(v.proof),
+    )
+
+
+def _sat_key(r):
+    return r.status, r.steps_used, r.halt_reason, format_proof(r.proof)
+
+
+@pytest.mark.parametrize("stream", sorted(GENERATED))
+def test_compiled_theory_is_decided_as_its_sentences(stream):
+    # The generator hands judge and check_sat the clauses the oracle
+    # checked; they must decide exactly as from the theory's sentences.
+    for inst in islice(GENERATED[stream](), 15):
+        lex = inst.lexicon()
+        sents = _sents(inst.theory, lex)
+        clauses = compile_clauses(s.formula for s in sents)[0]
+        assert _sat_key(check_sat(clauses, lexicon=lex)) == _sat_key(check_sat(sents, lexicon=lex))
+        if not inst.hypothesis:
+            continue
+        # The instance's hypothesis, then every attribute of its first entity
+        # and of someone, either way round.
+        subjects = (lex.entities[0], "Someone")
+        hyps = [inst.hypothesis] + [
+            f"{e} is {neg}{a}." for e in subjects for a in lex.attributes for neg in ("", "not ")
+        ]
+        for text in hyps:
+            h = to_sentence(text, lex)
+            expected = _verdict_key(judge(sents, h, lexicon=lex))
+            assert _verdict_key(judge(clauses, h, lexicon=lex)) == expected, (inst.id, text)
+
+
+def test_theory_clauses_keep_their_sk_names():
+    # Compiled alone, the theory's someone is sk1, the very entity the
+    # hypothesis names; compiled with the hypothesis, it is named after it.
+    sents = _sents(["Someone is kind."])
+    h = to_sentence("person sk1 is kind.", LEX)
+    clauses = compile_clauses([sents[0].formula])[0]
+    assert judge(sents, h).label == oracle_entail([sents[0].formula], h.formula) == UNKNOWN
+    assert judge(clauses, h).label == oracle_entail(clauses, h.formula) == TRUE
 
 
 def test_judge_relational_fact_with_fol_fallback_rendering():
