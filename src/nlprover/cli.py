@@ -145,7 +145,8 @@ def cmd_prove(args) -> int:
         instances = _read_instances(args.instances)
         work = [(inst, args.budget, strategy) for inst in instances]
         # The pool forks every worker up front: no more than work or cores.
-        workers = min(args.jobs, len(work), os.cpu_count() or 1)
+        cores = os.cpu_count() or 1
+        workers = min(args.jobs or cores, len(work), cores)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_judge_one, work, chunksize=8))
@@ -159,6 +160,9 @@ def cmd_prove(args) -> int:
                 for line in format_proof(verdict.proof):
                     print(f"  {line}")
         return EXIT_OK
+    if args.jobs is not None:
+        print("prove: config error: --jobs not read without --instances", file=sys.stderr)
+        return EXIT_CONFIG
     if not args.theory or not args.hypothesis:
         raise InputError("prove needs --instances, or --theory and --hypothesis")
     lex = _load_lexicon(args.lexicon)
@@ -304,6 +308,8 @@ def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
 
 def cmd_eval(args) -> int:
     records = _records_from_files(args.predictions, args.gold)
+    if not records:
+        raise InputError(f"{args.gold}: no instances to score")
     scores = score(records)
     if args.json:
         print(
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["sos-linear", "unrestricted"],
         default="sos-linear",
     )
-    p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_int_at_least(1), help="workers for --instances (default: cores)")
     _add_common(p, "--budget", "--lexicon", "--json")
     p.set_defaults(fn=cmd_prove)
 

@@ -259,12 +259,11 @@ def _ground(
 def _satisfiable(
     theory: tuple[tuple[Literal, ...], ...],
     extra: Iterable[tuple[Literal, ...]],
-    max_atoms: int,
 ) -> bool:
     """Is `theory + extra` satisfiable? A stored model answers when it fits;
     otherwise the search starts from the theory's propagated state, and the
     model it finds is stored."""
-    grounding, ground = _ground(theory, extra, max_atoms)
+    grounding, ground = _ground(theory, extra, ORACLE_MAX_ATOMS)
     if grounding.base is None:
         return False
     # A stored model, with every atom the theory lacks set false, is a full
@@ -282,16 +281,13 @@ def _satisfiable(
     return True
 
 
-def oracle_sat(clauses: Iterable[Clause], max_atoms: int = ORACLE_MAX_ATOMS) -> bool:
-    """Satisfiability by exhaustive search over ground-atom assignments."""
-    return _satisfiable(tuple(c.literals for c in clauses), (), max_atoms)
+def oracle_sat(clauses: Iterable[Clause]) -> bool:
+    """Satisfiability by exhaustive search over ground-atom assignments.
+    Raises OracleOverflowError past ORACLE_MAX_ATOMS ground atoms."""
+    return _satisfiable(tuple(c.literals for c in clauses), ())
 
 
-def oracle_entail(
-    theory: Iterable[Union[Formula, Clause]],
-    hypothesis: Formula,
-    max_atoms: int = ORACLE_MAX_ATOMS,
-) -> str:
+def oracle_entail(theory: Iterable[Union[Formula, Clause]], hypothesis: Formula) -> str:
     """True when every model of the theory satisfies the hypothesis, False
     when every model satisfies its negation, Unknown otherwise.
 
@@ -299,12 +295,14 @@ def oracle_entail(
     clause form of the (negated) hypothesis, so universal hypotheses get
     their witness constant for free. Clause items of the theory are used
     as compiled, as `judge` uses them: a hypothesis that names an `skN`
-    pseudo-entity needs the theory as formulas.
+    pseudo-entity needs the theory as formulas. Raises OracleOverflowError
+    past ORACLE_MAX_ATOMS ground atoms, and InconsistentTheoryError when the
+    theory has no model.
     """
     theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
     key = tuple(c.literals for c in theory)
-    sat_with_neg = _satisfiable(key, (c.literals for c in neg_clauses), max_atoms)
-    sat_with_h = _satisfiable(key, (c.literals for c in h_clauses), max_atoms)
+    sat_with_neg = _satisfiable(key, (c.literals for c in neg_clauses))
+    sat_with_h = _satisfiable(key, (c.literals for c in h_clauses))
     if sat_with_h and sat_with_neg:
         return UNKNOWN
     if sat_with_h:
@@ -475,6 +473,17 @@ def _rule_key(body: list[str], head: str, neg_head: bool) -> frozenset:
     return frozenset({(False, b) for b in body} | {(not neg_head, head)})
 
 
+def _draw_rule(
+    rng: random.Random, cfg: GenConfig, attributes: list[str]
+) -> tuple[list[str], str, bool, str]:
+    """One random rule: its body, a head outside the body, whether the head
+    is negated, and its template form, drawn in that order."""
+    body = rng.sample(attributes, rng.randint(1, cfg.max_rule_body))
+    head = rng.choice([a for a in attributes if a not in body])
+    neg = rng.random() < cfg.p_negation
+    return body, head, neg, rng.choice(("people", "if", "everyone"))
+
+
 def _sample_theory(
     rng: random.Random, cfg: GenConfig, entities: list[str], attributes: list[str]
 ) -> Optional[list[str]]:
@@ -510,12 +519,7 @@ def _sample_theory(
             return None
     for _ in range(cfg.n_rules):
         for _attempt in range(30):
-            body_n = rng.randint(1, cfg.max_rule_body)
-            body = rng.sample(attributes, body_n)
-            head_pool = [a for a in attributes if a not in body]
-            head = rng.choice(head_pool)
-            neg = rng.random() < cfg.p_negation
-            form = rng.choice(("people", "if", "everyone"))
+            body, head, neg, form = _draw_rule(rng, cfg, attributes)
             text = _render_rule(body, head, neg, form)
             key = _rule_key(body, head, neg)
             if text in texts or key in keys:
@@ -724,11 +728,7 @@ def generate_nlsat(
         else:
             texts = []
             for _ in range(config.n_rules):
-                body_n = rng.randint(1, config.max_rule_body)
-                body = rng.sample(attributes, body_n)
-                head = rng.choice([a for a in attributes if a not in body])
-                neg = rng.random() < config.p_negation
-                texts.append(_render_rule(body, head, neg, rng.choice(("people", "if", "everyone"))))
+                texts.append(_render_rule(*_draw_rule(rng, config, attributes)))
         # distractor rules for both labels
         for _ in range(rng.randint(0, 2)):
             body = rng.sample(attributes, 1)
@@ -776,8 +776,9 @@ def extract_training_samples(inst: Instance) -> list[dict]:
     if not inst.gold_proof:
         return []
     lex = inst.lexicon()
-    target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex, nl_renderer(lex))
-    context = [target.nl_of(c) for c in target.clauses]
+    target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+    render = nl_renderer(lex)
+    context = [render(c) for c in target.clauses]
     records: list[dict] = []
     for step in inst.gold_proof:
         ti, tj = step.premises_nl

@@ -24,11 +24,12 @@ Otter moves it into the set of support the same way).
 
 Each search returns its halt reason, its step count and the derivation of
 the empty clause as (premise, premise, conclusion) triples; `refute` alone
-renders that derivation as proof steps and builds the result. `refute`
-leaves its theory set unchanged, so a second call on the same set gives the
-same answer. A proof names each clause by an id: the inputs keep theirs,
-and each resolvent the search reaches is numbered on from the last input
-id in the order it was first reached.
+renders that derivation as proof steps, with the clause renderer it is
+given, and builds the result. `refute` leaves its theory set unchanged, so
+a second call on the same set gives the same answer. A proof names each
+clause by an id: the inputs keep theirs, and each resolvent the search
+reaches is numbered on from the last input id in the order it was first
+reached.
 
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
@@ -76,12 +77,9 @@ class TheorySet:
     Insertion order is generation order, and a clause's id is its 1-based
     position. No two stored clauses share a canonical form and no stored
     clause is a tautology. `supported` holds the ids of the goal clauses,
-    the roots of the goal-directed search. `realize_fn`, when given, renders
-    a clause in natural language; it runs only when `nl_of` asks for a
-    clause, and without it a clause renders as its textual form.
+    the roots of the goal-directed search.
     """
 
-    realize_fn: Optional[Callable[[Clause], str]] = None
     clauses: list[Clause] = field(default_factory=list)
     supported: set[int] = field(default_factory=set)
     _index: dict = field(default_factory=dict)
@@ -108,9 +106,6 @@ class TheorySet:
         if supported:
             self.supported.add(c.id)
         return c, True
-
-    def nl_of(self, c: Clause) -> str:
-        return clause_to_str(c) if self.realize_fn is None else self.realize_fn(c)
 
     def is_supported(self, cid: int) -> bool:
         return cid in self.supported
@@ -280,12 +275,12 @@ def format_proof(steps: list[ProofStep]) -> list[str]:
 _Derivation = tuple[Clause, Clause, Clause]
 
 
-def _make_step(tset: TheorySet, a: Clause, b: Clause, concl: Clause) -> ProofStep:
+def _make_step(render: Callable[[Clause], str], a: Clause, b: Clause, concl: Clause) -> ProofStep:
     return ProofStep(
         premises_fol=(clause_to_str(a), clause_to_str(b)),
-        premises_nl=(tset.nl_of(a), tset.nl_of(b)),
+        premises_nl=(render(a), render(b)),
         conclusion_fol=clause_to_str(concl),
-        conclusion_nl=tset.nl_of(concl),
+        conclusion_nl=render(concl),
         premise_ids=(a.id, b.id),
         conclusion_id=concl.id,
     )
@@ -295,12 +290,16 @@ def refute(
     tset: TheorySet,
     strategy: str = SOS_LINEAR,
     budget: int = DEFAULT_BUDGET,
+    render: Callable[[Clause], str] = clause_to_str,
 ) -> RefutationResult:
     """Search for the empty clause. The returned proof is the derivation of
     the empty clause (empty when no refutation was found). steps_used is
     the proof's length under sos_linear (0 when none was found) and the
     number of accepted resolvents under unrestricted. Both searches return
-    a derivation, and only this function renders one as proof steps."""
+    a derivation, and only this function renders one as proof steps:
+    `render` gives each step's natural-language side, and it is called for
+    the clauses of the returned proof alone (`judge.nl_renderer` renders
+    template English; the default repeats the clause text)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not tset.clauses:
@@ -309,7 +308,7 @@ def refute(
         halt, steps, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
     else:
         halt, steps, derivation = _refute_sos_linear(tset, budget)
-    proof = [_make_step(tset, *d) for d in derivation]
+    proof = [_make_step(render, *d) for d in derivation]
     return RefutationResult(halt == HALT_EMPTY, steps, proof, halt)
 
 

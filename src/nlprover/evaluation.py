@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import inferences
 from .judge import SATISFIABLE, UNKNOWN, refutation_target
@@ -37,8 +37,9 @@ def check_step(premises: tuple[str, str], conclusion: str) -> bool:
 @dataclass
 class PredictionRecord:
     """One scored instance: the original theory and hypothesis, the gold
-    label, and the model's predicted label and proof (a list of
-    ((premise_fol, premise_fol), conclusion_fol) triples)."""
+    label, the model's predicted label and proof (a list of
+    ((premise_fol, premise_fol), conclusion_fol) triples), and the lexicon
+    the theory and hypothesis are parsed with."""
 
     instance_id: str
     theory: list[str]
@@ -46,25 +47,23 @@ class PredictionRecord:
     gold_label: str
     predicted_label: str
     predicted_proof: list[tuple[tuple[str, str], str]] = field(default_factory=list)
-    lexicon: Optional[Lexicon] = None
+    lexicon: Lexicon = DEFAULT_LEXICON
 
 
-def check_proof(rec: PredictionRecord, lexicon: Lexicon = DEFAULT_LEXICON) -> bool:
+def check_proof(rec: PredictionRecord) -> bool:
     """Proof validity for one record.
 
     An Unknown or Satisfiable prediction carries no proof and counts as
     right exactly when the gold label is the same. Otherwise every step must
     be a valid resolution step, every premise must come from the input
     clauses of the predicted label's refutation target (see
-    `judge.refutation_target`) or an earlier conclusion, and the proof must
-    end in the empty clause.
+    `judge.refutation_target`, parsed with the record's lexicon) or an
+    earlier conclusion, and the proof must end in the empty clause.
     """
     if rec.predicted_label in (UNKNOWN, SATISFIABLE):
         return rec.gold_label == rec.predicted_label
     try:
-        target = refutation_target(
-            rec.theory, rec.hypothesis, rec.predicted_label, rec.lexicon or lexicon
-        )
+        target = refutation_target(rec.theory, rec.hypothesis, rec.predicted_label, rec.lexicon)
     except (ValueError, CnfBlowupError):
         # ParseError and UnknownWordError are ValueErrors
         return False
@@ -94,7 +93,7 @@ class Scores:
     n: int
 
 
-def score(records: Sequence[PredictionRecord], lexicon: Lexicon = DEFAULT_LEXICON) -> Scores:
+def score(records: Sequence[PredictionRecord]) -> Scores:
     """EA is the fraction of records with the right label; FA additionally
     requires a valid proof."""
     if not records:
@@ -105,7 +104,7 @@ def score(records: Sequence[PredictionRecord], lexicon: Lexicon = DEFAULT_LEXICO
         if rec.predicted_label != rec.gold_label:
             continue
         ea_hits += 1
-        if check_proof(rec, lexicon):
+        if check_proof(rec):
             fa_hits += 1
     n = len(records)
     return Scores(entailment_accuracy=ea_hits / n, full_accuracy=fa_hits / n, n=n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -49,8 +49,8 @@ _PROOF_SIDE = {TRUE: 1, FALSE: 0}
 
 
 def nl_renderer(lex: Lexicon) -> Callable[[Clause], str]:
-    """Clause renderer for theory sets: template sentence when one fits,
-    otherwise the clause's textual form."""
+    """Clause renderer for `refute` and training records: template sentence
+    when one fits, otherwise the clause's textual form."""
 
     def render(c: Clause) -> str:
         try:
@@ -66,19 +66,20 @@ def refutation_target(
     hypothesis: str,
     label: str,
     lexicon: Lexicon,
-    realize_fn: Optional[Callable[[Clause], str]] = None,
 ) -> TheorySet:
     """The clause set a proof of `label` refutes: T2 for True, T1 for False,
     and the theory alone for any other label (a rule-only refutation). Only
     that set is built, from one compilation, and the hypothesis is parsed
-    only when the label needs it. Raises ParseError on a sentence outside
+    only when the label needs it. `lexicon` parses the sentences; a caller
+    that renders the set's clauses, as training-record extraction does,
+    renders them with `nl_renderer`. Raises ParseError on a sentence outside
     the grammar and CnfBlowupError on an oversized clause form."""
     formulas = [to_sentence(t, lexicon).formula for t in theory]
     if label not in _PROOF_SIDE:
-        return theory_set(compile_clauses(formulas)[0], realize_fn=realize_fn)
+        return theory_set(compile_clauses(formulas)[0])
     h = to_sentence(hypothesis, lexicon).formula
     theory_clauses, *goals = compile_clauses(formulas, h)
-    return theory_set(theory_clauses, goals[_PROOF_SIDE[label]], realize_fn)
+    return theory_set(theory_clauses, goals[_PROOF_SIDE[label]])
 
 
 @dataclass
@@ -120,12 +121,11 @@ def judge(
     compiled with the hypothesis, its sk-names start after the
     hypothesis's."""
     t1, t2 = build_theory_sets(
-        [s if isinstance(s, Clause) else s.formula for s in nlt],
-        hypothesis.formula,
-        realize_fn=nl_renderer(lexicon),
+        [s if isinstance(s, Clause) else s.formula for s in nlt], hypothesis.formula
     )
-    r1 = refute(t1, strategy=strategy, budget=budget)
-    r2 = refute(t2, strategy=strategy, budget=budget)
+    render = nl_renderer(lexicon)
+    r1 = refute(t1, strategy=strategy, budget=budget, render=render)
+    r2 = refute(t2, strategy=strategy, budget=budget, render=render)
     tie = r1.refuted and r2.refuted
     if tie:
         label = tie_break(r1, r2)
@@ -161,8 +161,8 @@ def check_sat(
     is given as sentences or as their compiled clauses, which are used as
     they are."""
     clauses = compile_clauses(s if isinstance(s, Clause) else s.formula for s in nlt)[0]
-    tset = theory_set(clauses, realize_fn=nl_renderer(lexicon))
-    result = refute(tset, strategy=UNRESTRICTED, budget=budget)
+    tset = theory_set(clauses)
+    result = refute(tset, strategy=UNRESTRICTED, budget=budget, render=nl_renderer(lexicon))
     status = UNSATISFIABLE if result.refuted else SATISFIABLE
     return SatResult(
         status=status,

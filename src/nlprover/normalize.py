@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .engine import TheorySet
 from .logic import (
@@ -274,14 +274,10 @@ def compile_clauses(
     return theory_clauses, h_clauses, neg_clauses
 
 
-def theory_set(
-    theory: Iterable[Clause],
-    goals: Iterable[Clause] = (),
-    realize_fn: Optional[Callable[[Clause], str]] = None,
-) -> TheorySet:
+def theory_set(theory: Iterable[Clause], goals: Iterable[Clause] = ()) -> TheorySet:
     """A theory set of the theory clauses, then the goals marked supported.
     Without goals it is the single target of a satisfiability check."""
-    tset = TheorySet(realize_fn=realize_fn)
+    tset = TheorySet()
     for c in theory:
         tset.add(c)
     for c in goals:
@@ -289,11 +285,7 @@ def theory_set(
     return tset
 
 
-def build_theory_sets(
-    nlt: Iterable[Formula],
-    hypothesis: Formula,
-    realize_fn: Optional[Callable[[Clause], str]] = None,
-):
+def build_theory_sets(nlt: Iterable[Formula], hypothesis: Formula):
     """The two refutation targets for a judging task.
 
     T1 holds the theory plus the hypothesis, T2 the theory plus its negation.
@@ -304,6 +296,6 @@ def build_theory_sets(
     """
     theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis)
     return (
-        theory_set(theory_clauses, h_clauses, realize_fn),
-        theory_set(theory_clauses, neg_clauses, realize_fn),
+        theory_set(theory_clauses, h_clauses),
+        theory_set(theory_clauses, neg_clauses),
     )

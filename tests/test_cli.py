@@ -131,6 +131,14 @@ def test_prove_instances_rejects_single_pair_flags(capsys, tmp_path, flag):
     assert not out
 
 
+def test_prove_single_pair_rejects_jobs(capsys, theory_file):
+    argv = ["prove", "--theory", theory_file, "--hypothesis", "Bob is kind.", "--jobs", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err == "prove: config error: --jobs not read without --instances\n"
+    assert not out
+
+
 def test_bad_gen_config_exits_4(capsys, tmp_path):
     code, _, err = run(
         capsys, "gen", "--out", str(tmp_path / "x.jsonl"), "--count", "1", "--mix", "2,2,2"
@@ -290,6 +298,19 @@ def test_missing_prediction_is_input_error(capsys, tmp_path):
     assert "no prediction" in err
 
 
+def test_eval_on_gold_with_no_instances_is_input_error(capsys, tmp_path):
+    empty = tmp_path / "e.jsonl"
+    empty.write_text("")
+    code, out, err = run(capsys, "eval", "--predictions", str(empty), "--gold", str(empty))
+    assert code == 2
+    assert err.startswith("nlprover: input error:") and str(empty) in err
+    assert not out
+    # check has nothing to score, only proofs to count
+    assert run(capsys, "check", "--proofs", str(empty), "--instances", str(empty)) == (
+        0, "valid: 0/0\n", ""
+    )
+
+
 def test_prove_on_rule_only_data_is_input_error(capsys, tmp_path):
     out_path = tmp_path / "nlsat.jsonl"
     run(
@@ -332,8 +353,13 @@ class _FakePool:
         return map(fn, items)
 
 
+# jobs None leaves --jobs out: the pool then has one worker a core.
 @pytest.mark.parametrize(
-    "jobs, cores, size", [("1000", 4, 4), ("3", 4, 3), ("1000", None, None), ("1", 4, None)]
+    "jobs, cores, size",
+    [
+        ("1000", 4, 4), ("3", 4, 3), ("1000", None, None), ("1", 4, None),
+        (None, 4, 4), (None, None, None),
+    ],
 )
 def test_prove_pool_is_bounded_by_work_and_cores(capsys, tmp_path, monkeypatch, jobs, cores, size):
     gold = tmp_path / "gold.jsonl"
@@ -342,13 +368,14 @@ def test_prove_pool_is_bounded_by_work_and_cores(capsys, tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_FakePool, "sizes", [])
-    assert run(capsys, "prove", "--instances", str(gold), "--jobs", jobs, "--json") == serial
+    jobs_flag = [] if jobs is None else ["--jobs", jobs]
+    assert run(capsys, "prove", "--instances", str(gold), *jobs_flag, "--json") == serial
     assert _FakePool.sizes == ([] if size is None else [size])
     # two instances make a pool of two at most, whatever the cores
     two = tmp_path / "two.jsonl"
     two.write_text("".join(gold.read_text().splitlines(keepends=True)[:2]))
     monkeypatch.setattr(_FakePool, "sizes", [])
-    assert run(capsys, "prove", "--instances", str(two), "--jobs", jobs)[0] == 0
+    assert run(capsys, "prove", "--instances", str(two), *jobs_flag)[0] == 0
     assert _FakePool.sizes == ([] if size is None else [2])
 
 

@@ -122,12 +122,12 @@ def _worked_example_sets():
     ]
     sents = [to_sentence(t, LEX).formula for t in theory]
     h = to_sentence("Bob is not kind.", LEX).formula
-    return build_theory_sets(sents, h, realize_fn=nl_renderer(LEX))
+    return build_theory_sets(sents, h)
 
 
 def test_refute_worked_example_three_steps():
     _, t2 = _worked_example_sets()
-    result = refute(t2, strategy=SOS_LINEAR, budget=100)
+    result = refute(t2, strategy=SOS_LINEAR, budget=100, render=nl_renderer(LEX))
     assert result.refuted and result.halt_reason == HALT_EMPTY
     assert result.steps_used == 3
     conclusions = [s.conclusion_fol for s in result.proof]
@@ -217,9 +217,9 @@ def test_nl_realized_only_for_returned_proof(strategy):
 
         sents = [to_sentence(t, lex).formula for t in theory]
         h = to_sentence(hypothesis, lex).formula
-        for tset in build_theory_sets(sents, h, realize_fn=counting):
+        for tset in build_theory_sets(sents, h):
             rendered.clear()
-            result = refute(tset, strategy=strategy, budget=5000)
+            result = refute(tset, strategy=strategy, budget=5000, render=counting)
             named = {f for s in result.proof for f in (*s.premises_fol, s.conclusion_fol)}
             assert set(rendered) <= named
             assert len(rendered) == 3 * len(result.proof)
@@ -279,19 +279,19 @@ def _outcome(result):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_refute_leaves_theory_set_unchanged(strategy):
-    sets = list(_worked_example_sets())
+    sets = [(tset, nl_renderer(LEX)) for tset in _worked_example_sets()]
     for inst in islice(generate(GenConfig(seed=42)), 10):
         lex = inst.lexicon()
         sents = [to_sentence(t, lex).formula for t in inst.theory]
         h = to_sentence(inst.hypothesis, lex).formula
-        sets.extend(build_theory_sets(sents, h, realize_fn=nl_renderer(lex)))
+        sets.extend((tset, nl_renderer(lex)) for tset in build_theory_sets(sents, h))
     n_refuted = 0
-    for tset in sets:
+    for tset, render in sets:
         before = _snapshot(tset)
-        first = refute(tset, strategy=strategy)
+        first = refute(tset, strategy=strategy, render=render)
         assert _snapshot(tset) == before
         # A second call on the same set answers the same, ids included.
-        assert _outcome(refute(tset, strategy=strategy)) == _outcome(first)
+        assert _outcome(refute(tset, strategy=strategy, render=render)) == _outcome(first)
         n_refuted += first.refuted
     assert n_refuted >= 5
 
@@ -404,7 +404,7 @@ def test_resolve_multiple_complementary_pairs():
 
 def test_step_line_format():
     _, t2 = _worked_example_sets()
-    result = refute(t2, strategy=SOS_LINEAR)
+    result = refute(t2, strategy=SOS_LINEAR, render=nl_renderer(LEX))
     line = format_proof(result.proof)[0]
     assert line.startswith("STEP 1: [")
     assert " => " in line and " ;; NL: " in line
@@ -576,7 +576,8 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
                     if stored is None:
                         continue
                     if stored.is_empty:
-                        proof = [_make_step(tset, *d) for d in _extract(by_conclusion, stored.id)]
+                        derivation = _extract(by_conclusion, stored.id)
+                        proof = [_make_step(clause_to_str, *d) for d in derivation]
                         return RefutationResult(True, len(by_conclusion), proof, HALT_EMPTY)
                     queue.append(stored)
                     for fc in factor_closure(stored):
@@ -741,11 +742,11 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
             trail.clear()
             try:
                 if descend(goal, {goal.literals}, [], limit):
-                    proof = [_make_step(tset, *d) for d in trail]
+                    proof = [_make_step(clause_to_str, *d) for d in trail]
                     return RefutationResult(True, len(trail), proof, HALT_EMPTY)
             except _BudgetExhausted:
                 if derivation and len(derivation) <= budget:
-                    proof = [_make_step(tset, *d) for d in derivation]
+                    proof = [_make_step(clause_to_str, *d) for d in derivation]
                     return RefutationResult(True, len(proof), proof, HALT_EMPTY)
                 return RefutationResult(False, 0, [], HALT_BUDGET)
         if not state["truncated"]:

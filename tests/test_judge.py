@@ -273,6 +273,6 @@ def test_work_limit_falls_back_to_the_saturation_proof():
     assert min(v.proof[-1].premise_ids) > len(ITEM_THEORY) + 1
     steps = [((s.premises_fol[0], s.premises_fol[1]), s.conclusion_fol) for s in v.proof]
     rec = PredictionRecord("item", ITEM_THEORY, "Bob is not happy.", TRUE, v.label, steps, lex)
-    assert check_proof(rec, lex)
+    assert check_proof(rec)
     # a derivation longer than the budget is not returned
     assert (short.label, short.halt_t2, short.proof) == (UNKNOWN, HALT_BUDGET, [])
