@@ -264,8 +264,9 @@ def _load_predictions(path) -> dict[str, dict]:
             d = json.loads(line)
         except ValueError as e:
             raise InputError(f"{path}:{n}: not JSON ({e})") from e
-        if not isinstance(d, dict) or "id" not in d or "predicted_label" not in d:
-            raise InputError(f"{path}:{n}: prediction records need 'id' and 'predicted_label'")
+        keys = ("id", "predicted_label")
+        if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in keys)):
+            raise InputError(f"{path}:{n}: prediction records need string 'id' and 'predicted_label'")
         out[d["id"]] = d
     return out
 

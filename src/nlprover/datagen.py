@@ -399,10 +399,12 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    theory, hypothesis = list(d["theory"]), d["hypothesis"]
+    theory, hypothesis = d["theory"], d["hypothesis"]
     # Parsed later, where only grammar errors are expected.
-    if not all(isinstance(t, str) for t in [*theory, hypothesis]):
-        raise TypeError("theory and hypothesis must be sentences (strings)")
+    if not (isinstance(theory, list) and all(isinstance(t, str) for t in [*theory, hypothesis])):
+        raise TypeError("theory must be a list of sentences and hypothesis a sentence (strings)")
+    if not all(isinstance(d[k], str) for k in ("id", "label")):
+        raise TypeError("id and label must be strings")
     meta = dict(d["meta"])
     for key in ("entities", "attributes"):
         words = meta.get(key, [])

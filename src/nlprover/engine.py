@@ -443,8 +443,10 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     first; the deepening search then recovers a shortest-length chain.
     Past the work limit the loop's derivation answers instead, when it fits
     the budget; that derivation is a DAG, not a linear chain.
-    Every chain clause is scanned for an immediate empty resolvent against
-    all its candidate sides before the chain grows from it.
+    A chain clause's candidates are made one at a time, as the search tries
+    them, against its sides in (length, id) order. Only two units resolve to
+    the empty clause and factoring never empties one, so an empty inference,
+    when a clause has one, is its first candidate.
 
     Returns the halt reason, the length of the derivation found (0 when
     none was) and that derivation of the empty clause.
@@ -468,17 +470,11 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
         new = Clause(res.literals, len(reached) + 1)
         return reached.setdefault(res.literals, new)
 
-    def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]):
-        """Put `clause` on the chain with its inferences against the inputs and
-        the chain's derived clauses; return the refutation if one is empty."""
+    def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]) -> None:
+        """Put `clause` on the chain; its candidates are made as they are tried."""
         ancestors = [f.clause for f in chain[1:]] + ([clause] if chain else [])
         sides = sorted(inputs + ancestors, key=lambda c: (len(c.literals), c.id))
-        cands = [(side, res) for side in sides for res in inferences(clause, side)]
-        chain.append(_Frame(clause, step, iter(cands)))
-        for side, res in cands:
-            if res.is_empty:
-                return [f.step for f in chain[1:]] + [(clause, side, reach(res))]
-        return None
+        chain.append(_Frame(clause, step, ((s, r) for s in sides for r in inferences(clause, s))))
 
     work = 0
     for limit in range(1, budget + 1):
@@ -486,31 +482,29 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
         for goal in goals:
             chain: list[_Frame] = []
             path_keys = {goal.literals}
-            trail = push(chain, goal, None)
-            while trail is None and chain:
+            push(chain, goal, None)
+            while chain:
                 top = chain[-1]
-                for side, res in top.untried:
-                    if res.is_empty or res.literals in path_keys:
-                        continue
-                    if len(chain) >= limit:
-                        truncated = True
-                        continue
-                    work += 1
-                    if work > _WORK_LIMIT:
-                        if 0 < len(derivation) <= budget:
-                            return HALT_EMPTY, len(derivation), derivation
-                        return HALT_BUDGET, 0, []
-                    stored = reach(res)
-                    path_keys.add(stored.literals)
-                    trail = push(chain, stored, (top.clause, side, stored))
-                    break
-                else:
+                side, res = next(
+                    ((s, r) for s, r in top.untried if r.literals not in path_keys), (None, None)
+                )
+                if res is not None and res.is_empty:
+                    steps = [f.step for f in chain[1:]] + [(top.clause, side, reach(res))]
+                    return HALT_EMPTY, len(steps), steps
+                if res is None or len(chain) >= limit:
+                    truncated = truncated or res is not None
                     path_keys.discard(chain.pop().clause.literals)
-            if trail is not None:
-                return HALT_EMPTY, len(trail), trail
+                    continue
+                work += 1
+                if work > _WORK_LIMIT:
+                    if 0 < len(derivation) <= budget:
+                        return HALT_EMPTY, len(derivation), derivation
+                    return HALT_BUDGET, 0, []
+                stored = reach(res)
+                path_keys.add(stored.literals)
+                push(chain, stored, (top.clause, side, stored))
         if not truncated:
             # every chain bottomed out before the depth limit: deepening
             # further cannot help
             return HALT_NO_PAIR, 0, []
     return HALT_BUDGET, 0, []
-

@@ -24,11 +24,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .logic import Clause, Const, Literal, Var, canonicalize, clause_consts, clause_vars
+from .logic import (
+    SK_NAME, VAR_NAME, Clause, Const, Literal, Var, canonicalize, clause_consts, clause_vars
+)
 from .normalize import And, Atom, Exists, ForAll, Formula, Implies, Not, Or, negate
-
-_SK_NAME = re.compile(r"sk\d+\Z")
-_VAR_NAME = re.compile(r"v\d+\Z")
 
 RESERVED_WORDS = {
     "is", "not", "or", "and", "are", "people", "if", "then", "they",
@@ -76,7 +75,7 @@ class Lexicon:
         if len(set(lowered)) != len(lowered):
             raise ValueError("lexicon names must be unique across sections")
         for w in lowered:
-            if w in RESERVED_WORDS or _SK_NAME.match(w) or _VAR_NAME.match(w):
+            if w in RESERVED_WORDS or SK_NAME.match(w) or VAR_NAME.match(w):
                 raise ValueError(f"reserved or ambiguous lexicon name: {w!r}")
 
     @cached_property
@@ -197,7 +196,7 @@ class _Parser:
         if tok.lower() == "person":
             sk_at = self.here()
             sk = self.take().lower()
-            if not _SK_NAME.match(sk):
+            if not SK_NAME.match(sk):
                 raise ParseError(f"expected sk-name after 'person', got {sk!r}", sk_at)
             return Const(sk)
         name = self.lex.entity_by_lower.get(tok.lower())
@@ -315,7 +314,7 @@ def _lit_phrase(lit: Literal, lex: Lexicon) -> str:
 
 
 def _subject_phrase(c: Const, lex: Lexicon) -> str:
-    if _SK_NAME.match(c.name):
+    if SK_NAME.match(c.name):
         return f"person {c.name}"
     if c.name.lower() in lex.entity_by_lower:
         return lex.entity_by_lower[c.name.lower()]

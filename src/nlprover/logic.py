@@ -394,7 +394,9 @@ class ClauseFormatError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_VAR_RE = re.compile(r"v\d+\Z")
+# Variable (v1, v2, ...) and Skolem (sk1, sk2, ...) names; no word may take either form.
+VAR_NAME = re.compile(r"v\d+\Z")
+SK_NAME = re.compile(r"sk(\d+)\Z")
 
 
 def _split_args(s: str) -> list[str]:
@@ -427,7 +429,7 @@ def _parse_term(s: str) -> Term:
     name = m.group(0)
     rest = s[m.end():]
     if not rest:
-        return Var(name) if _VAR_RE.match(name) else Const(name)
+        return Var(name) if VAR_NAME.match(name) else Const(name)
     if not (rest.startswith("(") and rest.endswith(")")):
         raise ClauseFormatError(f"bad term {s!r}")
     args = tuple(_parse_term(a) for a in _split_args(rest[1:-1]))

@@ -11,12 +11,12 @@ refutation needs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .engine import TheorySet
 from .logic import (
+    SK_NAME,
     Clause,
     Const,
     Func,
@@ -82,8 +82,6 @@ class CnfBlowupError(Exception):
 
 MAX_CLAUSES_PER_FORMULA = 256
 
-_SK_RE = re.compile(r"sk(\d+)\Z")
-
 
 class SkolemNamer:
     """Hands out sk1, sk2, ... in first-use order. One namer per judging
@@ -108,7 +106,7 @@ class SkolemNamer:
         for item in items:
             consts = clause_consts(item) if isinstance(item, Clause) else _formula_consts(item)
             for c in consts:
-                m = _SK_RE.match(c.name)
+                m = SK_NAME.match(c.name)
                 if m:
                     top = max(top, int(m.group(1)))
         return cls(start=top + 1)

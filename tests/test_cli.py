@@ -520,14 +520,46 @@ def test_meta_that_makes_no_lexicon_exits_2(capsys, gold_and_preds, command, key
     recs = [json.loads(l) for l in gold.read_text().splitlines()]
     recs[1]["meta"][key] = words
     gold.write_text("".join(json.dumps(r) + "\n" for r in recs))
-    argv = {
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert f"{gold}:2:" in err and "lexicon" in err and "Traceback" not in err
+
+
+def _argv(command, gold, preds):
+    return {
         "prove": ("--instances", str(gold), "--jobs", "1"),
         "check": ("--proofs", str(preds), "--instances", str(gold)),
         "eval": ("--predictions", str(preds), "--gold", str(gold)),
     }[command]
-    code, _, err = run(capsys, command, *argv)
+
+
+def _rewrite_line(path, lineno, field, value):
+    recs = [json.loads(l) for l in path.read_text().splitlines()]
+    recs[lineno - 1][field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("field", ["id", "predicted_label"])
+def test_non_string_prediction_field_exits_2(capsys, gold_and_preds, command, field):
+    gold, preds = gold_and_preds
+    _rewrite_line(preds, 2, field, ["True"])
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
     assert code == 2
-    assert f"{gold}:2:" in err and "lexicon" in err and "Traceback" not in err
+    assert f"{preds}:2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["prove", "check", "eval"])
+@pytest.mark.parametrize(
+    "field, value", [("id", ["x"]), ("label", 1), ("theory", "Bob is kind.")]
+)
+def test_malformed_gold_field_exits_2(capsys, gold_and_preds, command, field, value):
+    # A theory given as one string would be read as one-letter sentences.
+    gold, preds = gold_and_preds
+    _rewrite_line(gold, 2, field, value)
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert f"{gold}:2:" in err and field in err and "Traceback" not in err
 
 
 def _usage_exit(capsys, *argv):

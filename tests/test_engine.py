@@ -540,6 +540,27 @@ def test_inferences_are_resolvents_then_their_factors(pair):
     assert _fields(inferences(c1, c2)) == _fields(want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _PAIRS,
+        st.tuples(
+            _clauses(positive=st.just(True), min_size=1, max_size=1),
+            _clauses(positive=st.just(False), min_size=1, max_size=1),
+        ),
+    )
+)
+def test_only_two_units_infer_the_empty_clause(pair):
+    # The deepening search tries a chain clause's sides shortest first, so
+    # this makes an empty inference, when there is one, its first candidate.
+    c1, c2 = pair
+    got = list(inferences(c1, c2))
+    if len(c1.literals) == len(c2.literals) == 1:
+        assert len(got) <= 1 and all(r.is_empty for r in got)
+    else:
+        assert not any(r.is_empty for r in got)
+
+
 # The unrestricted search before it became the given-clause loop with every
 # clause queued, kept verbatim but for the kernel call, which now returns
 # the resolvents alone. It stored resolvents in the theory set and tried
@@ -770,11 +791,13 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
         max_size=12,
     ),
     st.integers(0, 6),
+    st.one_of(st.integers(0, 4), st.just(200)),
 )
-def test_sos_linear_matches_recursive_reference(entries, budget):
+def test_sos_linear_matches_recursive_reference(entries, budget, work_limit):
     # Short clauses over three predicates make about a fifth of the sets
     # refutable within the step budget and some more past it. Small limits keep each
-    # example fast; both searches get the same ones.
+    # example fast; both searches get the same ones. Few sets need more than
+    # four extensions, so a work limit of 0-4 makes the fallback fire on some.
     def build():
         t = TheorySet()
         for c, supported in entries:
@@ -784,22 +807,26 @@ def test_sos_linear_matches_recursive_reference(entries, budget):
     t = build()
     if not t.clauses:
         return
-    with mock.patch.object(engine, "_WORK_LIMIT", 200), mock.patch.object(
+    with mock.patch.object(engine, "_WORK_LIMIT", work_limit), mock.patch.object(
         engine, "_SATURATE_CAP", 200
     ):
         got = refute(t, strategy=SOS_LINEAR, budget=budget)
-    want = _ref_refute_sos_linear(build(), budget, work_limit=200, saturate_cap=200)
+    want = _ref_refute_sos_linear(build(), budget, work_limit=work_limit, saturate_cap=200)
     assert _outcome(got) == _outcome(want)
+
+
+def _self_resolving_chain_set():
+    t = TheorySet()
+    t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), supported=True)
+    for text in ("-q(v1)", "p(a)", "-p(f(f(f(f(a)))))"):
+        t.add(parse_clause(text))
+    return t
 
 
 def test_sos_linear_chain_clause_resolves_with_itself():
     # The shortest chain resolves the first derived clause with itself; with
     # only the inputs and earlier clauses as sides it would take 6 steps.
-    t = TheorySet()
-    t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), supported=True)
-    for text in ("-q(v1)", "p(a)", "-p(f(f(f(f(a)))))"):
-        t.add(parse_clause(text))
-    result = refute(t, strategy=SOS_LINEAR)
+    result = refute(_self_resolving_chain_set(), strategy=SOS_LINEAR)
     assert (result.refuted, result.steps_used) == (True, 5)
     assert [line.split(" ;; ")[0] for line in format_proof(result.proof)] == [
         "STEP 1: [1] -p(v1) | p(f(v1)) | q(v1) | [2] -q(v1) => [5] -p(v1) | p(f(v1))",
@@ -808,6 +835,19 @@ def test_sos_linear_chain_clause_resolves_with_itself():
         "STEP 4: [18] p(f(f(a))) | [11] -p(v1) | p(f(f(v1))) => [53] p(f(f(f(f(a)))))",
         "STEP 5: [53] p(f(f(f(f(a))))) | [4] -p(f(f(f(f(a))))) => [54] []",
     ]
+
+
+@pytest.mark.parametrize("work_limit, steps", [(137, 6), (138, 5)])
+def test_sos_linear_fallback_fires_past_the_work_limit(work_limit, steps):
+    # The 5-step chain above ends on the 138th extension; with one fewer the
+    # pre-check's 6-step derivation answers, as in the reference.
+    with mock.patch.object(engine, "_WORK_LIMIT", work_limit):
+        got = refute(_self_resolving_chain_set(), strategy=SOS_LINEAR, budget=10)
+    want = _ref_refute_sos_linear(
+        _self_resolving_chain_set(), 10, work_limit=work_limit, saturate_cap=engine._SATURATE_CAP
+    )
+    assert _outcome(got) == _outcome(want)
+    assert (got.refuted, got.steps_used) == (True, steps)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
