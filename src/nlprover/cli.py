@@ -28,7 +28,7 @@ from .datagen import (
     write_jsonl,
     write_training_records,
 )
-from .engine import DEFAULT_BUDGET, format_proof
+from .engine import DEFAULT_BUDGET, format_proof, step_fields
 from .evaluation import PredictionRecord, check_proof, score
 from .judge import UNKNOWN, check_sat, judge
 from .language import DEFAULT_LEXICON, Lexicon, ParseError, load_lexicon, to_sentence
@@ -195,7 +195,7 @@ def cmd_sat(args) -> int:
 # Options that only one of the two generators reads, with their defaults.
 # The parser leaves them None, so that one given to the other is caught.
 _PLAIN_ONLY = {"entities": 4, "facts": 5, "existential": False, "mix": "0.3334,0.3333,0.3333"}
-_NLSAT_ONLY = {"fraction_unsat": 0.5}
+_NLSAT_ONLY = {"fraction_unsat": 0.5, "budget": DEFAULT_BUDGET}
 
 
 def cmd_gen(args) -> int:
@@ -224,7 +224,7 @@ def cmd_gen(args) -> int:
         stream = (
             generate_nlsat(config, fraction_unsat=args.fraction_unsat, budget=args.budget)
             if args.nlsat
-            else generate(config, budget=args.budget)
+            else generate(config)
         )
     except ValueError as e:
         print(f"gen: config error: {e}", file=sys.stderr)
@@ -279,19 +279,11 @@ def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
         if pred is None:
             raise InputError(f"no prediction for instance {inst.id}")
         try:
-            proof = [
-                ((s["premises_fol"][0], s["premises_fol"][1]), s["conclusion_fol"])
-                for s in pred.get("predicted_proof", [])
-            ]
-        except (KeyError, IndexError, TypeError) as e:
+            proof = [step_fields(s, "fol") for s in pred.get("predicted_proof", [])]
+        except (KeyError, TypeError) as e:
             raise InputError(
                 f"{pred_path}: malformed predicted_proof for {inst.id} ({type(e).__name__}: {e})"
             ) from e
-        if not all(isinstance(x, str) for (a, b), c in proof for x in (a, b, c)):
-            raise InputError(
-                f"{pred_path}: predicted_proof for {inst.id} has a premise or conclusion"
-                " that is not a string"
-            )
         records.append(
             PredictionRecord(
                 instance_id=inst.id,
@@ -409,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nlsat", action="store_true", help="rule-only satisfiability instances")
     p.add_argument("--fraction-unsat", type=float)
     p.add_argument("--training-records", help="also write pre_s/post_s/kc records here")
-    _add_common(p, "--budget")
+    p.add_argument("--budget", type=_int_at_least(0), help="max accepted resolvents per --nlsat theory")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")

@@ -37,7 +37,7 @@ from itertools import count, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .engine import DEFAULT_BUDGET, ProofStep
+from .engine import DEFAULT_BUDGET, HALT_BUDGET, ProofStep
 from .judge import (
     FALSE,
     SATISFIABLE,
@@ -398,23 +398,29 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
 def instance_from_dict(d: dict) -> Instance:
-    theory, hypothesis = d["theory"], d["hypothesis"]
-    # Parsed later, where only grammar errors are expected.
-    if not (isinstance(theory, list) and all(isinstance(t, str) for t in [*theory, hypothesis])):
-        raise TypeError("theory must be a list of sentences and hypothesis a sentence (strings)")
-    if not all(isinstance(d[k], str) for k in ("id", "label")):
-        raise TypeError("id and label must be strings")
+    # The text is parsed later, where only grammar errors are expected.
+    for key in ("id", "label", "hypothesis", "hypothesis_fol"):
+        if not isinstance(d[key], str):
+            raise TypeError(f"{key} must be a string")
+    for key in ("theory", "theory_fol"):
+        if not _is_str_list(d[key]):
+            raise TypeError(f"{key} must be a list of strings")
+    if type(d["depth"]) is not int:
+        raise TypeError("depth must be an integer")
     meta = dict(d["meta"])
     for key in ("entities", "attributes"):
-        words = meta.get(key, [])
-        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        if not _is_str_list(meta.get(key, [])):
             raise TypeError(f"meta.{key} must be a list of words (strings)")
     inst = Instance(
         id=d["id"],
-        theory=theory,
+        theory=d["theory"],
         theory_fol=list(d["theory_fol"]),
-        hypothesis=hypothesis,
+        hypothesis=d["hypothesis"],
         hypothesis_fol=d["hypothesis_fol"],
         label=d["label"],
         depth=d["depth"],
@@ -633,14 +639,17 @@ def _label_quota_loop(
         )
 
 
-def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instance]:
+def generate(config: GenConfig) -> Iterator[Instance]:
     """Endless stream of labeled instances matching the config.
 
     Theories are rejection-sampled from the grammar, discarded when
-    inconsistent, labeled by the oracle and proved by the engine; a label
-    quota scheduler keeps every prefix of the stream as close to label_mix
-    as arithmetic allows. Deterministic for a fixed config. The config is
-    checked on the call, before the first instance is asked for.
+    inconsistent, labeled by the oracle and proved by the engine within the
+    depth window: the top of target_depth_range is the judge's step budget,
+    and a candidate whose proof the engine does not find in that many steps
+    is dropped like one whose proof is shorter than the window's bottom. A
+    label quota scheduler keeps every prefix of the stream as close to
+    label_mix as arithmetic allows. Deterministic for a fixed config. The
+    config is checked on the call, before the first instance is asked for.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -671,13 +680,19 @@ def generate(config: GenConfig, budget: int = DEFAULT_BUDGET) -> Iterator[Instan
                 return None
             if label != need:
                 continue
-            verdict = judge(clauses, h_sentence, budget=budget, lexicon=lex)
+            verdict = judge(clauses, h_sentence, budget=hi, lexicon=lex)
             if verdict.label != label:
+                # The side a proof of `label` refutes ran out of steps: its
+                # proof, if any, is longer than the window allows.
+                halt = verdict.halt_t2 if label == TRUE else verdict.halt_t1
+                if verdict.label == UNKNOWN and halt == HALT_BUDGET:
+                    continue
                 raise GenerationError(
                     f"engine/oracle disagreement: oracle={label} "
                     f"engine={verdict.label} on theory={texts!r} h={h_text!r}"
                 )
-            if label != UNKNOWN and not (lo <= len(verdict.proof) <= hi):
+            # Judged within hi steps, so only the window's bottom is left.
+            if label != UNKNOWN and len(verdict.proof) < lo:
                 continue
             # Compiled after the theory clauses, as the oracle and the judge
             # compiled it.

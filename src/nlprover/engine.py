@@ -241,12 +241,26 @@ class ProofStep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofStep":
-        return cls(
-            tuple(d["premises_fol"]),
-            tuple(d["premises_nl"]),
-            d["conclusion_fol"],
-            d["conclusion_nl"],
-        )
+        premises_fol, conclusion_fol = step_fields(d, "fol")
+        premises_nl, conclusion_nl = step_fields(d, "nl")
+        return cls(premises_fol, premises_nl, conclusion_fol, conclusion_nl)
+
+
+def step_fields(d: dict, side: str) -> tuple[tuple[str, str], str]:
+    """The premises and conclusion of a serialized proof step on one side,
+    "fol" or "nl". Raises TypeError unless the step is an object whose
+    premises are a list of two strings and whose conclusion is a string,
+    and KeyError when a field is missing."""
+    if not isinstance(d, dict):
+        raise TypeError("a proof step must be an object")
+    premises, conclusion = d[f"premises_{side}"], d[f"conclusion_{side}"]
+    if not (
+        isinstance(premises, list) and len(premises) == 2 and all(isinstance(p, str) for p in premises)
+    ):
+        raise TypeError(f"premises_{side} must be a list of two strings")
+    if not isinstance(conclusion, str):
+        raise TypeError(f"conclusion_{side} must be a string")
+    return (premises[0], premises[1]), conclusion
 
 
 @dataclass

@@ -118,28 +118,23 @@ def vce_loss(
     similarities: Sequence[float],
     positive_idx: Sequence[int],
     negative_idx: Sequence[int],
-    clamp: str = "max",
 ) -> float:
     """Validity contrastive loss over one selection round.
 
         L = -(1/k) * sum_{j in P} log( exp(max(sim_j, 0.8))
                                        / sum_{i in R} exp(sim_i) )
 
-    `clamp` selects how the 0.8 constant is applied to positive
-    similarities: "max" (as the formula is printed) or "min" (capping the
-    similarity at 0.8) for sensitivity checks.
+    This is the formula as printed; min(sim_j, 0.8), capping a positive
+    similarity at 0.8, is the other reading of the constant.
     """
-    if clamp not in ("max", "min"):
-        raise ValueError(f"clamp must be 'max' or 'min', got {clamp!r}")
     pos = list(positive_idx)
     neg = list(negative_idx)
     if not pos or not neg:
         raise DegenerateContrastError("degenerate_contrast")
     if set(pos) & set(neg):
         raise ValueError("positive and negative index sets overlap")
-    clamp_fn = max if clamp == "max" else min
     denom = sum(math.exp(similarities[i]) for i in neg)
     total = 0.0
     for j in pos:
-        total += math.log(math.exp(clamp_fn(similarities[j], 0.8)) / denom)
+        total += math.log(math.exp(max(similarities[j], 0.8)) / denom)
     return -total / len(pos)

@@ -110,8 +110,16 @@ def test_flag_a_command_does_not_read_exits_4(capsys, tmp_path, command, flag):
         (["--nlsat"], ["--existential"]),
         (["--nlsat"], ["--mix", "1,0,0"]),
         ([], ["--fraction-unsat", "1"]),
+        ([], ["--budget", "5"]),
     ],
-    ids=["nlsat-facts", "nlsat-entities", "nlsat-existential", "nlsat-mix", "plain-fraction-unsat"],
+    ids=[
+        "nlsat-facts",
+        "nlsat-entities",
+        "nlsat-existential",
+        "nlsat-mix",
+        "plain-fraction-unsat",
+        "plain-budget",
+    ],
 )
 def test_gen_flag_the_generator_does_not_read_exits_4(capsys, tmp_path, mode, flag):
     out_path = tmp_path / "x.jsonl"
@@ -551,7 +559,15 @@ def test_non_string_prediction_field_exits_2(capsys, gold_and_preds, command, fi
 
 @pytest.mark.parametrize("command", ["prove", "check", "eval"])
 @pytest.mark.parametrize(
-    "field, value", [("id", ["x"]), ("label", 1), ("theory", "Bob is kind.")]
+    "field, value",
+    [
+        ("id", ["x"]),
+        ("label", 1),
+        ("theory", "Bob is kind."),
+        ("depth", "x"),
+        ("theory_fol", [1, 2]),
+        ("hypothesis_fol", 7),
+    ],
 )
 def test_malformed_gold_field_exits_2(capsys, gold_and_preds, command, field, value):
     # A theory given as one string would be read as one-letter sentences.
@@ -560,6 +576,43 @@ def test_malformed_gold_field_exits_2(capsys, gold_and_preds, command, field, va
     code, _, err = run(capsys, command, *_argv(command, gold, preds))
     assert code == 2
     assert f"{gold}:2:" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["prove", "check", "eval"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("premises_fol", "ab"),
+        ("premises_fol", ["a", "b", "c"]),
+        ("premises_nl", "ab"),
+        ("conclusion_fol", ["[]"]),
+        ("conclusion_nl", 5),
+    ],
+)
+def test_malformed_gold_step_exits_2(capsys, gold_and_preds, command, field, value):
+    # A two-letter string would be read as the premises "a" and "b".
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in gold.read_text().splitlines()]
+    lineno = next(n for n, r in enumerate(recs, start=1) if r["gold_proof"])
+    recs[lineno - 1]["gold_proof"][0][field] = value
+    gold.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert f"{gold}:{lineno}:" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("premises", ["ab", ["a", "b", "c"]])
+def test_predicted_step_premises_not_a_pair_exit_2(capsys, gold_and_preds, command, premises):
+    # Neither is a pair: a lenient reader would take "ab" as the premises
+    # "a" and "b", or the list's first two, and score the step.
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in preds.read_text().splitlines()]
+    recs[0]["predicted_proof"] = [{"premises_fol": premises, "conclusion_fol": "[]"}]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert str(preds) in err and recs[0]["id"] in err and "premises_fol" in err
 
 
 def _usage_exit(capsys, *argv):

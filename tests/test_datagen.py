@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlprover.datagen as datagen
 from nlprover.datagen import (
     GenConfig,
+    GenerationError,
     GenerationStalledError,
     InconsistentTheoryError,
     OracleOverflowError,
@@ -27,7 +29,17 @@ from nlprover.datagen import (
     oracle_entail,
     oracle_sat,
 )
-from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNKNOWN, UNSATISFIABLE, judge, nl_renderer
+from nlprover.engine import HALT_BUDGET, HALT_EMPTY, HALT_NO_PAIR
+from nlprover.judge import (
+    FALSE,
+    SATISFIABLE,
+    TRUE,
+    UNKNOWN,
+    UNSATISFIABLE,
+    Verdict,
+    judge,
+    nl_renderer,
+)
 from nlprover.language import DEFAULT_LEXICON, Lexicon, to_sentence
 from nlprover.logic import (
     Clause,
@@ -165,6 +177,35 @@ def test_generated_depths_stay_in_window():
     for inst in islice(generate(cfg), 15):
         if inst.label != UNKNOWN:
             assert 2 <= inst.depth <= 4
+
+
+def test_proof_past_the_window_is_a_rejected_draw(monkeypatch):
+    # The window's top is the judge's step budget: a candidate whose proof
+    # needs more steps ends Unknown on the budget and is dropped, not
+    # reported as an engine/oracle disagreement.
+    verdicts = []
+
+    def recording_judge(*args, **kwargs):
+        verdicts.append(judge(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(datagen, "judge", recording_judge)
+    insts = list(islice(generate(GenConfig(seed=7, target_depth_range=(0, 2))), 60))
+    assert len(insts) == 60
+    assert all(i.depth <= 2 for i in insts)
+    assert any(
+        v.label == UNKNOWN and HALT_BUDGET in (v.halt_t1, v.halt_t2) for v in verdicts
+    )
+
+
+@pytest.mark.parametrize("label, halt", [(FALSE, HALT_EMPTY), (UNKNOWN, HALT_NO_PAIR)])
+def test_wrong_engine_label_is_a_generation_error(monkeypatch, label, halt):
+    # True is drawn first; a False proof or an Unknown that is no budget
+    # stop disagrees with the oracle.
+    verdict = Verdict(label, halt_t1=halt, halt_t2=halt)
+    monkeypatch.setattr(datagen, "judge", lambda *args, **kwargs: verdict)
+    with pytest.raises(GenerationError, match=f"oracle=True engine={label}"):
+        next(generate(GenConfig(seed=7)))
 
 
 def test_existential_mode_produces_someone_sentences():

@@ -815,6 +815,61 @@ def test_sos_linear_matches_recursive_reference(entries, budget, work_limit):
     assert _outcome(got) == _outcome(want)
 
 
+def _unary(positive, pred, term=Var("v1")):
+    return Literal(positive, pred, (term,))
+
+
+@st.composite
+def _chain_sets(draw):
+    """The fact p0(a), the rules -p_i(v1) | p_{i+1}(v1) for i < n (n is 3-8),
+    the supported goal -p_n(a), and 0-4 rules that branch off the chain:
+    a way out to q_k, a way in from q_k, or a two-premise rule that skips
+    ahead. Entries come in a drawn order, so ids and (len, id) ties vary."""
+    n = draw(st.integers(3, 8))
+    a = Const("a")
+    entries = [(Clause((_unary(True, "p0", a),)), False)]
+    entries += [
+        (Clause((_unary(False, f"p{i}"), _unary(True, f"p{i + 1}"))), False) for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+        q = f"q{draw(st.integers(0, 2))}"
+        literals = draw(
+            st.sampled_from(
+                [
+                    (_unary(False, f"p{i}"), _unary(draw(st.booleans()), q)),
+                    (_unary(False, q), _unary(True, f"p{i}")),
+                    (_unary(False, f"p{i}"), _unary(False, q), _unary(True, f"p{j}")),
+                ]
+            )
+        )
+        entries.append((Clause(literals), False))
+    entries.append((Clause((_unary(False, f"p{n}", a),)), True))
+    return draw(st.permutations(entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_sets(), st.integers(0, 12), st.integers(0, 30))
+def test_sos_linear_matches_recursive_reference_on_chains(entries, budget, small_limit):
+    # Every drawn set is refutable in n + 1 steps or fewer, so deepening
+    # runs several levels and extends many chains; the branches give it
+    # dead ends to back out of. Compared at the real work limit and at a
+    # small one, where the fallback answers.
+    def build():
+        t = TheorySet()
+        for c, supported in entries:
+            t.add(c, supported=supported)
+        return t
+
+    for work_limit in (engine._WORK_LIMIT, small_limit):
+        with mock.patch.object(engine, "_WORK_LIMIT", work_limit):
+            got = refute(build(), strategy=SOS_LINEAR, budget=budget)
+        want = _ref_refute_sos_linear(
+            build(), budget, work_limit=work_limit, saturate_cap=engine._SATURATE_CAP
+        )
+        assert _outcome(got) == _outcome(want)
+
+
 def _self_resolving_chain_set():
     t = TheorySet()
     t.add(parse_clause("q(v1) | -p(v1) | p(f(v1))"), supported=True)

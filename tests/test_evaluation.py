@@ -204,12 +204,6 @@ def test_vce_loss_two_negatives():
     assert vce_loss([0.8, 0.0, 0.0], [0], [1, 2]) == pytest.approx(expected, abs=1e-9)
 
 
-def test_vce_loss_min_clamp_variant():
-    # the alternative reading caps high similarities at 0.8
-    assert vce_loss([0.9, 0.0], [0], [1], clamp="min") == pytest.approx(-0.8, abs=1e-9)
-    assert vce_loss([0.5, 0.0], [0], [1], clamp="min") == pytest.approx(-0.5, abs=1e-9)
-
-
 def test_vce_loss_monotonicity_by_finite_differences():
     h = 1e-5
     base = [0.85, 0.3, -0.2, 0.1]
