@@ -27,7 +27,8 @@ works.
 
 from __future__ import annotations
 
-import json
+# json is imported by the functions that read and write records, so that
+# importing the package does not load it.
 import math
 import random
 from collections import deque
@@ -54,6 +55,7 @@ from .logic import Clause, Const, Func, Literal, Var, clause_to_str
 from .normalize import Formula, compile_clauses
 
 ORACLE_MAX_ATOMS = 24
+_GOLD_LABELS = (TRUE, FALSE, UNKNOWN, SATISFIABLE, UNSATISFIABLE)
 MAX_EXISTENTIAL_FACTS = 2
 _STALL_LIMIT = 2000
 # Candidate hypotheses judged per sampled theory.
@@ -350,6 +352,12 @@ class GenConfig:
             raise ValueError("label_mix needs three finite non-negative proportions")
         if abs(sum(self.label_mix) - 1.0) > 1e-9:
             raise ValueError("label_mix must sum to 1")
+        # Every True or False proof takes at least one step.
+        if not rule_only and hi == 0 and (self.label_mix[0] > 0 or self.label_mix[1] > 0):
+            raise ValueError(
+                "target_depth_range top 0 admits no True or False proof; "
+                "raise it or give those labels no share of label_mix"
+            )
         # Rule-only theories ground over a single witness constant; judged
         # theories over every entity plus any existential sk-constants
         # (existential facts, plus one for an existential hypothesis).
@@ -412,6 +420,8 @@ def instance_from_dict(d: dict) -> Instance:
             raise TypeError(f"{key} must be a list of strings")
     if type(d["depth"]) is not int:
         raise TypeError("depth must be an integer")
+    if d["label"] not in _GOLD_LABELS:
+        raise ValueError(f"label {d['label']!r} is not one of {', '.join(_GOLD_LABELS)}")
     meta = dict(d["meta"])
     for key in ("entities", "attributes"):
         if not _is_str_list(meta.get(key, [])):
@@ -432,6 +442,8 @@ def instance_from_dict(d: dict) -> Instance:
 
 
 def write_jsonl(instances: Iterable[Instance], path) -> int:
+    import json
+
     n = 0
     with open(path, "w") as fh:
         for inst in instances:
@@ -443,6 +455,8 @@ def write_jsonl(instances: Iterable[Instance], path) -> int:
 def read_jsonl(path) -> list[Instance]:
     """Instances, one per non-blank line. A line that is not an instance
     record raises ValueError naming the file and line number."""
+    import json
+
     out = []
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.strip():
@@ -810,6 +824,8 @@ def extract_training_samples(inst: Instance) -> list[dict]:
 
 
 def write_training_records(records: Iterable[dict], path) -> int:
+    import json
+
     n = 0
     with open(path, "w") as fh:
         for rec in records:

@@ -9,7 +9,6 @@ Budget exhaustion on a set counts as "no contradiction" for that set.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -32,8 +31,6 @@ from .language import (
 )
 from .logic import Clause, clause_to_str
 from .normalize import build_theory_sets, compile_clauses, theory_set
-
-log = logging.getLogger(__name__)
 
 TRUE = "True"
 FALSE = "False"
@@ -100,7 +97,10 @@ def tie_break(r1: RefutationResult, r2: RefutationResult) -> str:
         return TRUE
     if r1.steps_used < r2.steps_used:
         return FALSE
-    log.warning(
+    # Imported here, so that importing the package does not load logging.
+    import logging
+
+    logging.getLogger(__name__).warning(
         "both theory sets refuted in %d steps; returning Unknown", r1.steps_used
     )
     return UNKNOWN

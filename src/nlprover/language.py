@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -290,7 +290,20 @@ class _Parser:
         return Sentence(self.text, ForAll(x, Implies(body, head)), KIND_RULE)
 
 
+# Bound on the parse memo (about 900 bytes an entry). A generated stream or
+# an instance pool repeats a few thousand distinct sentences.
+_SENTENCE_CACHE_SIZE = 1 << 14
+
+
 def to_sentence(text: str, lex: Lexicon = DEFAULT_LEXICON) -> Sentence:
+    """The parse of one template sentence. Lexicon and Sentence are frozen,
+    so a text is parsed once per lexicon and its Sentence shared; a
+    ParseError is raised on every call and never stored."""
+    return _parse(text, lex)
+
+
+@lru_cache(maxsize=_SENTENCE_CACHE_SIZE)
+def _parse(text: str, lex: Lexicon) -> Sentence:
     return _Parser(text, lex).sentence()
 
 

@@ -12,6 +12,7 @@ refutation needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .engine import TheorySet
@@ -226,22 +227,46 @@ def to_clauses(
 
     Clauses come back canonicalized, deduplicated and with tautologies
     dropped; the set is equisatisfiable with f. Raises CnfBlowupError when
-    the clause count would exceed max_clauses.
+    the clause count would exceed max_clauses; the namer is then advanced
+    past the sk-names the formula took, and an open formula leaves it
+    untouched. Each (formula, namer index, max_clauses) is compiled once.
     """
-    if free_vars(f):
-        raise ValueError("formula has free variables")
     if namer is None:
         namer = SkolemNamer.starting_after([f])
+    clauses, namer.next_index = _clause_form(f, namer.next_index, max_clauses)
+    if clauses is None:
+        raise CnfBlowupError("cnf_blowup")
+    return list(clauses)
+
+
+# Bound on the clause-form memo (about 400 bytes an entry), as for the parse
+# memo in language.
+_CLAUSE_FORM_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_CLAUSE_FORM_CACHE_SIZE)
+def _clause_form(
+    f: Formula, start: int, max_clauses: int
+) -> tuple[Optional[tuple[Clause, ...]], int]:
+    """The clauses of f named from sk`start` on, or None when they would be
+    more than max_clauses, and the next free sk-index."""
+    if free_vars(f):
+        raise ValueError("formula has free variables")
+    namer = SkolemNamer(start)
     matrix = _skolem_matrix(nnf(f), {}, [], namer)
+    try:
+        lit_lists = _distribute(matrix, max_clauses)
+    except CnfBlowupError:
+        return None, namer.next_index
     out: list[Clause] = []
     seen = set()
-    for lits in _distribute(matrix, max_clauses):
+    for lits in lit_lists:
         c = canonicalize(Clause(tuple(lits)))
         if is_tautology(c) or c.literals in seen:
             continue
         seen.add(c.literals)
         out.append(c)
-    return out
+    return tuple(out), namer.next_index
 
 
 def compile_clauses(
