@@ -26,6 +26,26 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_import_loads_neither_logging_nor_json():
+    # Import time is part of every command's start-up.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nlprover
+
+    src = str(Path(nlprover.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nlprover; "
+        "print(sorted({'logging', 'json'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_prove_worked_example(capsys, theory_file):
     code, out, _ = run(
         capsys, "prove", "--theory", theory_file, "--hypothesis", "Bob is not kind."
@@ -156,7 +176,8 @@ def test_bad_gen_config_exits_4(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--mix", "nan,0.5,0.5"], ["--nlsat", "--fraction-unsat", "2"]]
+    "flags",
+    [["--mix", "nan,0.5,0.5"], ["--nlsat", "--fraction-unsat", "2"], ["--depth-max", "0"]],
 )
 def test_gen_config_error_exits_4_without_output(capsys, tmp_path, flags):
     out_path = tmp_path / "x.jsonl"
@@ -567,6 +588,7 @@ def test_non_string_prediction_field_exits_2(capsys, gold_and_preds, command, fi
         ("depth", "x"),
         ("theory_fol", [1, 2]),
         ("hypothesis_fol", 7),
+        ("label", "Maybe"),
     ],
 )
 def test_malformed_gold_field_exits_2(capsys, gold_and_preds, command, field, value):

@@ -352,6 +352,16 @@ def test_config_validation():
     GenConfig(n_entities=6, n_attributes=8).validate(rule_only=True)
 
 
+def test_depth_window_topped_at_zero_needs_an_unknown_only_mix():
+    # Every True or False proof takes a step, so no draw could ever pass.
+    for mix in ((1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="target_depth_range top 0"):
+            GenConfig(target_depth_range=(0, 0), label_mix=mix).validate()
+    cfg = GenConfig(seed=7, target_depth_range=(0, 0), label_mix=(0.0, 0.0, 1.0))
+    assert {i.label for i in islice(generate(cfg), 5)} == {"Unknown"}
+    GenConfig(target_depth_range=(0, 0)).validate(rule_only=True)
+
+
 def test_generation_stall_raises_with_constraint():
     # an impossible depth window for a tiny theory cannot be satisfied
     cfg = GenConfig(seed=0, n_facts=1, n_rules=1, target_depth_range=(6, 6))

@@ -213,6 +213,41 @@ def test_compiled_theory_is_decided_as_its_sentences(stream):
             assert _verdict_key(judge(clauses, h, lexicon=lex)) == expected, (inst.id, text)
 
 
+def _clear_compile_memos():
+    from nlprover.language import _parse
+    from nlprover.normalize import _clause_form
+
+    _parse.cache_clear()
+    _clause_form.cache_clear()
+
+
+def _target_key(tset):
+    return [clause_to_str(c) for c in tset.clauses], sorted(tset.supported)
+
+
+@pytest.mark.parametrize("stream", sorted(GENERATED))
+def test_warm_and_cold_compile_memos_decide_alike(stream):
+    # The stream itself warms the parse and clause-form memos; each cold
+    # call starts from empty ones.
+    for inst in islice(GENERATED[stream](), 15):
+        lex = inst.lexicon()
+        results = []
+        for cold in (False, True):
+            if cold:
+                _clear_compile_memos()
+            target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+            if cold:
+                _clear_compile_memos()
+            sents = _sents(inst.theory, lex)
+            if inst.hypothesis:
+                v = judge(sents, to_sentence(inst.hypothesis, lex), lexicon=lex)
+                decided = _verdict_key(v)
+            else:
+                decided = _sat_key(check_sat(sents, lexicon=lex))
+            results.append((_target_key(target), decided))
+        assert results[0] == results[1], inst.id
+
+
 def test_theory_clauses_keep_their_sk_names():
     # Compiled alone, the theory's someone is sk1, the very entity the
     # hypothesis names; compiled with the hypothesis, it is named after it.

@@ -116,6 +116,34 @@ def test_missing_final_period_rejected():
         parse_sentence("Bob is kind", LEX)
 
 
+def test_parse_memo_shares_sentences_and_never_stores_errors():
+    from nlprover.language import _parse
+
+    first = to_sentence("Bob is kind.", LEX)
+    assert to_sentence("Bob is kind.", LEX) is first
+    # An equal lexicon is the same key; another lexicon parses afresh.
+    assert to_sentence("Bob is kind.", Lexicon(LEX.entities, LEX.attributes)) is first
+    other = Lexicon(("Bob",), ("kind",))
+    assert to_sentence("Bob is kind.", other) == first
+    _parse.cache_clear()
+    for _ in range(2):
+        with pytest.raises(UnknownWordError):
+            to_sentence("Bob is zippy.", LEX)
+    assert _parse.cache_info().currsize == 0
+
+
+def test_parse_memo_stays_within_its_bound():
+    from nlprover.language import _SENTENCE_CACHE_SIZE, _parse
+
+    _parse.cache_clear()
+    for i in range(_SENTENCE_CACHE_SIZE + 100):
+        assert to_sentence(f"person sk{i} is kind.", LEX).formula == Atom("kind", (Const(f"sk{i}"),))
+    info = _parse.cache_info()
+    assert info.maxsize == _SENTENCE_CACHE_SIZE
+    assert info.currsize == _SENTENCE_CACHE_SIZE
+    _parse.cache_clear()
+
+
 def test_realize_empty_clause_is_empty_string():
     assert realize_clause(Clause(()), LEX) == ""
 

@@ -20,6 +20,8 @@ from nlprover.normalize import (
     Not,
     Or,
     SkolemNamer,
+    _CLAUSE_FORM_CACHE_SIZE,
+    _clause_form,
     _distribute,
     build_theory_sets,
     free_vars,
@@ -353,3 +355,64 @@ def test_open_formula_rejected_before_naming(f, start):
     with pytest.raises(ValueError):
         to_clauses(f, namer)
     assert namer.next_index == start
+
+
+# ---------------------------------------------------------------------------
+# The clause-form memo: a hit must leave the caller's namer and the clauses
+# exactly as compiling the formula anew would.
+
+
+def test_clause_form_memo_keeps_namer_indices():
+    # Someone is kind, and everyone has a kind friend: sk-terms both ways.
+    f = And(
+        Exists(X, Atom("kind", (X,))),
+        ForAll(X, Exists(Var("y"), And(Atom("kind", (Var("y"),)), Atom("p", (X, Var("y")))))),
+    )
+    cold = {}
+    for start in (1, 4):
+        _clause_form.cache_clear()
+        cold[start] = _outcome(to_clauses, f, start, MAX_CLAUSES_PER_FORMULA)
+    assert cold[1][1] == 3 and cold[4][1] == 6 and cold[1][0] != cold[4][0]
+    for start in (1, 4, 1, 4):
+        assert _outcome(to_clauses, f, start, MAX_CLAUSES_PER_FORMULA) == cold[start]
+    # One namer through two compilations in a row, warm and cold alike.
+    runs = []
+    for clear in (True, False):
+        if clear:
+            _clause_form.cache_clear()
+        namer = SkolemNamer(2)
+        runs.append((_strs(to_clauses(f, namer)), _strs(to_clauses(f, namer)), namer.next_index))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == 6 and runs[0][0] != runs[0][1]
+
+
+def test_clause_form_memo_hands_out_fresh_lists():
+    f = Atom("kind", (BOB,))
+    got = to_clauses(f, SkolemNamer())
+    got.append(got[0])
+    assert len(to_clauses(f, SkolemNamer())) == 1
+
+
+def test_repeated_cnf_blowup_advances_the_namer_each_time():
+    # Cold, then twice from the memo.
+    p = Atom("p", ())
+    f = Exists(X, And(And(p, p), Atom("p", (X,))))
+    _clause_form.cache_clear()
+    for _ in range(3):
+        namer = SkolemNamer(1)
+        with pytest.raises(CnfBlowupError):
+            to_clauses(f, namer, 2)
+        assert namer.next_index == 2
+
+
+def test_clause_form_memo_stays_within_its_bound():
+    f = Exists(X, Atom("kind", (X,)))
+    _clause_form.cache_clear()
+    for start in range(1, _CLAUSE_FORM_CACHE_SIZE + 101):
+        namer = SkolemNamer(start)
+        assert _strs(to_clauses(f, namer)) == [f"kind(sk{start})"]
+        assert namer.next_index == start + 1
+    info = _clause_form.cache_info()
+    assert info.maxsize == _CLAUSE_FORM_CACHE_SIZE
+    assert info.currsize == _CLAUSE_FORM_CACHE_SIZE
+    _clause_form.cache_clear()
