@@ -24,9 +24,10 @@ from .datagen import (
     extract_training_samples,
     generate,
     generate_nlsat,
-    read_jsonl,
+    instance_from_dict,
+    read_records,
     write_jsonl,
-    write_training_records,
+    write_records,
 )
 from .engine import DEFAULT_BUDGET, format_proof, step_fields
 from .evaluation import PredictionRecord, check_proof, score
@@ -57,11 +58,30 @@ def _load_lexicon(path: str | None) -> Lexicon:
         raise InputError(f"lexicon: {e}") from e
 
 
-def _read_instances(path: str) -> list[Instance]:
+def _read_records(path: str, decode, kind: str) -> dict:
     try:
-        return read_jsonl(path)
+        return read_records(path, decode, kind)
     except (OSError, ValueError) as e:
         raise InputError(str(e)) from e
+
+
+def _read_instances(path: str) -> list[Instance]:
+    return list(_read_records(path, instance_from_dict, "an instance").values())
+
+
+def _prediction_from_dict(d: dict) -> tuple[str, list[tuple[tuple[str, str], str]]]:
+    """The predicted label and the predicted proof's FOL steps of one
+    prediction record."""
+    keys = ("id", "predicted_label")
+    if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in keys)):
+        raise TypeError("prediction records need string 'id' and 'predicted_label'")
+    try:
+        proof = [step_fields(s, "fol") for s in d.get("predicted_proof", [])]
+    except (KeyError, TypeError) as e:
+        raise ValueError(
+            f"malformed predicted_proof for {d['id']} ({type(e).__name__}: {e})"
+        ) from e
+    return d["predicted_label"], proof
 
 
 def _read_theory_file(path: str) -> list[str]:
@@ -164,7 +184,8 @@ def cmd_prove(args) -> int:
         print("prove: config error: --jobs not read without --instances", file=sys.stderr)
         return EXIT_CONFIG
     if not args.theory or not args.hypothesis:
-        raise InputError("prove needs --instances, or --theory and --hypothesis")
+        print("prove: config error: needs --instances, or --theory and --hypothesis", file=sys.stderr)
+        return EXIT_CONFIG
     lex = _load_lexicon(args.lexicon)
     sentences = [to_sentence(t, lex) for t in _read_theory_file(args.theory)]
     hyp = to_sentence(args.hypothesis, lex)
@@ -244,53 +265,27 @@ def cmd_gen(args) -> int:
     try:
         write_jsonl(instances, args.out)
         if args.training_records:
-            write_training_records(records, args.training_records)
+            write_records(records, args.training_records)
     except OSError as e:
         raise InputError(f"cannot write output: {e}") from e
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
 
 
-def _load_predictions(path) -> dict[str, dict]:
-    out = {}
-    try:
-        raw = Path(path).read_text()
-    except OSError as e:
-        raise InputError(str(e)) from e
-    for n, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except ValueError as e:
-            raise InputError(f"{path}:{n}: not JSON ({e})") from e
-        keys = ("id", "predicted_label")
-        if not (isinstance(d, dict) and all(isinstance(d.get(k), str) for k in keys)):
-            raise InputError(f"{path}:{n}: prediction records need string 'id' and 'predicted_label'")
-        out[d["id"]] = d
-    return out
-
-
 def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
-    preds = _load_predictions(pred_path)
+    preds = _read_records(pred_path, _prediction_from_dict, "a prediction")
     records = []
     for inst in _read_instances(gold_path):
-        pred = preds.get(inst.id)
-        if pred is None:
+        if inst.id not in preds:
             raise InputError(f"no prediction for instance {inst.id}")
-        try:
-            proof = [step_fields(s, "fol") for s in pred.get("predicted_proof", [])]
-        except (KeyError, TypeError) as e:
-            raise InputError(
-                f"{pred_path}: malformed predicted_proof for {inst.id} ({type(e).__name__}: {e})"
-            ) from e
+        predicted_label, proof = preds[inst.id]
         records.append(
             PredictionRecord(
                 instance_id=inst.id,
                 theory=inst.theory,
                 hypothesis=inst.hypothesis,
                 gold_label=inst.label,
-                predicted_label=pred["predicted_label"],
+                predicted_label=predicted_label,
                 predicted_proof=proof,
                 lexicon=inst.lexicon(),
             )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .engine import DEFAULT_BUDGET, HALT_BUDGET, ProofStep
 from .judge import (
@@ -296,8 +296,8 @@ def oracle_entail(theory: Iterable[Union[Formula, Clause]], hypothesis: Formula)
     Both checks run as satisfiability questions over the theory plus the
     clause form of the (negated) hypothesis, so universal hypotheses get
     their witness constant for free. Clause items of the theory are used
-    as compiled, as `judge` uses them: a hypothesis that names an `skN`
-    pseudo-entity needs the theory as formulas. Raises OracleOverflowError
+    as compiled, so their sk-names are kept: a hypothesis that names an
+    `skN` pseudo-entity needs the theory as formulas. Raises OracleOverflowError
     past ORACLE_MAX_ATOMS ground atoms, and InconsistentTheoryError when the
     theory has no model.
     """
@@ -441,32 +441,51 @@ def instance_from_dict(d: dict) -> Instance:
     return inst
 
 
-def write_jsonl(instances: Iterable[Instance], path) -> int:
+def write_records(records: Iterable[dict], path) -> int:
+    """Write one JSON object a line; returns how many."""
     import json
 
     n = 0
     with open(path, "w") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
             n += 1
     return n
 
 
-def read_jsonl(path) -> list[Instance]:
-    """Instances, one per non-blank line. A line that is not an instance
-    record raises ValueError naming the file and line number."""
+def write_jsonl(instances: Iterable[Instance], path) -> int:
+    return write_records(map(instance_to_dict, instances), path)
+
+
+T = TypeVar("T")
+
+
+def read_records(path, decode: Callable[[dict], T], kind: str) -> dict[str, T]:
+    """The records of a JSONL file by their `id`, one per non-blank line,
+    each decoded by `decode`, which raises ValueError, KeyError or TypeError
+    on a record without a string `id`. A line that `decode` rejects, or that
+    repeats an earlier line's id, raises ValueError naming `path:line`;
+    `kind` names the record in the message."""
     import json
 
-    out = []
+    out: dict[str, T] = {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if line.strip():
-            try:
-                out.append(instance_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as e:
-                raise ValueError(
-                    f"{path}:{n}: not an instance record ({type(e).__name__}: {e})"
-                ) from e
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            rec = decode(d)
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}:{n}: not {kind} record ({type(e).__name__}: {e})") from e
+        if d["id"] in out:
+            raise ValueError(f"{path}:{n}: repeated id {d['id']!r}")
+        out[d["id"]] = rec
     return out
+
+
+def read_jsonl(path) -> list[Instance]:
+    """The instances of a dataset file, in file order (see `read_records`)."""
+    return list(read_records(path, instance_from_dict, "an instance").values())
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +574,9 @@ def _sample_theory(
 
 
 def _theory_clauses(sentences: list[Sentence]) -> tuple[list[Clause], list[str]]:
-    """The theory's clauses and their FOL strings. The oracle and the engine
-    both decide these clauses, and the hypothesis is compiled after them.
+    """The theory's clauses and their FOL strings. The oracle decides these
+    clauses, and the hypothesis is compiled after them. The engine compiles
+    the same sentences, and the clause-form memo hands back these clauses.
 
     Each generator template (a literal fact, or a rule whose head is not in
     its body) compiles to one clause, so clause i is sentence i's. Only the
@@ -694,7 +714,7 @@ def generate(config: GenConfig) -> Iterator[Instance]:
                 return None
             if label != need:
                 continue
-            verdict = judge(clauses, h_sentence, budget=hi, lexicon=lex)
+            verdict = judge(sentences, h_sentence, budget=hi, lexicon=lex)
             if verdict.label != label:
                 # The side a proof of `label` refutes ran out of steps: its
                 # proof, if any, is longer than the window allows.
@@ -776,7 +796,7 @@ def generate_nlsat(
         label = SATISFIABLE if satisfiable else UNSATISFIABLE
         if label != need:
             return None
-        result = check_sat(clauses, budget=budget, lexicon=lex)
+        result = check_sat(sentences, budget=budget, lexicon=lex)
         if satisfiable and result.status != SATISFIABLE:
             raise GenerationError(f"engine refuted an oracle-satisfiable theory: {texts!r}")
         if result.status != label:
@@ -821,14 +841,3 @@ def extract_training_samples(inst: Instance) -> list[dict]:
         records.append({"kind": "kc", "context": [], "input": [ti, tj], "target": [tk]})
         context.append(tk)
     return records
-
-
-def write_training_records(records: Iterable[dict], path) -> int:
-    import json
-
-    n = 0
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-            n += 1
-    return n

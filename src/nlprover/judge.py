@@ -10,7 +10,7 @@ Budget exhaustion on a set counts as "no contradiction" for that set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -107,22 +107,14 @@ def tie_break(r1: RefutationResult, r2: RefutationResult) -> str:
 
 
 def judge(
-    nlt: Sequence[Union[Sentence, Clause]],
+    nlt: Sequence[Sentence],
     hypothesis: Sentence,
     budget: int = DEFAULT_BUDGET,
     strategy: str = SOS_LINEAR,
     lexicon: Lexicon = DEFAULT_LEXICON,
 ) -> Verdict:
-    """Label `hypothesis` against the theory `nlt`, given as sentences or
-    as the clauses `compile_clauses` made of them; clauses are used as
-    compiled. A theory compiled alone names its existentials sk1, sk2, ...,
-    so a hypothesis that names an `skN` pseudo-entity ("person sk1 is
-    kind.") would speak of that witness. Pass such a theory as sentences:
-    compiled with the hypothesis, its sk-names start after the
-    hypothesis's."""
-    t1, t2 = build_theory_sets(
-        [s if isinstance(s, Clause) else s.formula for s in nlt], hypothesis.formula
-    )
+    """Label `hypothesis` against the theory `nlt`."""
+    t1, t2 = build_theory_sets([s.formula for s in nlt], hypothesis.formula)
     render = nl_renderer(lexicon)
     r1 = refute(t1, strategy=strategy, budget=budget, render=render)
     r2 = refute(t2, strategy=strategy, budget=budget, render=render)
@@ -152,15 +144,13 @@ class SatResult:
 
 
 def check_sat(
-    nlt: Sequence[Union[Sentence, Clause]],
+    nlt: Sequence[Sentence],
     budget: int = DEFAULT_BUDGET,
     lexicon: Lexicon = DEFAULT_LEXICON,
 ) -> SatResult:
     """Is the theory self-contradictory? No hypothesis and no goal clause,
-    so the search runs unrestricted rather than goal-directed. The theory
-    is given as sentences or as their compiled clauses, which are used as
-    they are."""
-    clauses = compile_clauses(s if isinstance(s, Clause) else s.formula for s in nlt)[0]
+    so the search runs unrestricted rather than goal-directed."""
+    clauses = compile_clauses(s.formula for s in nlt)[0]
     tset = theory_set(clauses)
     result = refute(tset, strategy=UNRESTRICTED, budget=budget, render=nl_renderer(lexicon))
     status = UNSATISFIABLE if result.refuted else SATISFIABLE

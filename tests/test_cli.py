@@ -159,6 +159,15 @@ def test_prove_instances_rejects_single_pair_flags(capsys, tmp_path, flag):
     assert not out
 
 
+@pytest.mark.parametrize("pair", [[], ["--theory"], ["--hypothesis"]], ids=["none", "theory", "hypothesis"])
+def test_prove_without_a_mode_is_config_error(capsys, theory_file, pair):
+    values = {"--theory": theory_file, "--hypothesis": "Bob is kind."}
+    code, out, err = run(capsys, "prove", *[a for flag in pair for a in (flag, values[flag])])
+    assert code == 4
+    assert err.startswith("prove: config error:") and "--instances" in err
+    assert not out
+
+
 def test_prove_single_pair_rejects_jobs(capsys, theory_file):
     argv = ["prove", "--theory", theory_file, "--hypothesis", "Bob is kind.", "--jobs", "3"]
     code, out, err = run(capsys, *argv)
@@ -515,7 +524,7 @@ def test_check_malformed_proof_step_exits_2(capsys, gold_and_preds):
 def test_non_string_predicted_step_exits_2(capsys, gold_and_preds, command, field):
     gold, preds = gold_and_preds
     recs = [json.loads(l) for l in preds.read_text().splitlines()]
-    rec = next(r for r in recs if r["predicted_proof"])
+    lineno, rec = next((n, r) for n, r in enumerate(recs, start=1) if r["predicted_proof"])
     step = rec["predicted_proof"][0]
     if field == "premises_fol":
         step[field][1] = 5
@@ -526,7 +535,7 @@ def test_non_string_predicted_step_exits_2(capsys, gold_and_preds, command, fiel
     pred_flag, gold_flag = flags[command]
     code, _, err = run(capsys, command, pred_flag, str(preds), gold_flag, str(gold))
     assert code == 2
-    assert str(preds) in err and rec["id"] in err
+    assert f"{preds}:{lineno}:" in err and rec["id"] in err
 
 
 @pytest.mark.parametrize("key", ["entities", "attributes"])
@@ -578,6 +587,21 @@ def test_non_string_prediction_field_exits_2(capsys, gold_and_preds, command, fi
     assert f"{preds}:2:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("repeated", [1, 3])
+def test_repeated_prediction_id_exits_2(capsys, gold_and_preds, command, repeated):
+    # Read last-one-wins, a second copy with another label would move EA.
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in preds.read_text().splitlines()]
+    first = recs[repeated - 1]
+    recs.append(dict(first, predicted_label="False" if first["predicted_label"] == "True" else "True"))
+    preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, out, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert f"{preds}:4:" in err and "repeated id" in err and first["id"] in err
+    assert not out
+
+
 @pytest.mark.parametrize("command", ["prove", "check", "eval"])
 @pytest.mark.parametrize(
     "field, value",
@@ -589,10 +613,12 @@ def test_non_string_prediction_field_exits_2(capsys, gold_and_preds, command, fi
         ("theory_fol", [1, 2]),
         ("hypothesis_fol", 7),
         ("label", "Maybe"),
+        ("id", "gen-9-00000"),
     ],
 )
 def test_malformed_gold_field_exits_2(capsys, gold_and_preds, command, field, value):
-    # A theory given as one string would be read as one-letter sentences.
+    # A theory given as one string would be read as one-letter sentences,
+    # and line 1's id again would be judged and scored twice.
     gold, preds = gold_and_preds
     _rewrite_line(gold, 2, field, value)
     code, _, err = run(capsys, command, *_argv(command, gold, preds))
@@ -630,11 +656,11 @@ def test_predicted_step_premises_not_a_pair_exit_2(capsys, gold_and_preds, comma
     # "a" and "b", or the list's first two, and score the step.
     gold, preds = gold_and_preds
     recs = [json.loads(l) for l in preds.read_text().splitlines()]
-    recs[0]["predicted_proof"] = [{"premises_fol": premises, "conclusion_fol": "[]"}]
+    recs[1]["predicted_proof"] = [{"premises_fol": premises, "conclusion_fol": "[]"}]
     preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
     code, _, err = run(capsys, command, *_argv(command, gold, preds))
     assert code == 2
-    assert str(preds) in err and recs[0]["id"] in err and "premises_fol" in err
+    assert f"{preds}:2:" in err and recs[1]["id"] in err and "premises_fol" in err
 
 
 def _usage_exit(capsys, *argv):

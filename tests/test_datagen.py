@@ -703,7 +703,7 @@ def test_fact_key_partitions_facts_as_clause_keys_do():
 # generate(GenConfig(seed=1)) followed by the first 50 of
 # generate_nlsat(GenConfig(seed=1)), as write_jsonl writes them; and the
 # training records of those of them not labeled Unknown, as
-# write_training_records writes them.
+# write_records writes them.
 
 _PINNED_STREAM_SHA256 = "c2b9c6c3a1072c8a260a6349ca5775d5d73a97e7e56f4e280aea252588d70907"
 _PINNED_RECORDS_SHA256 = "9c53b18ea93581bba4c4ee8503c10a8b7f3702a21fa643e9ff1fc6ca18749b1e"
