@@ -475,7 +475,8 @@ def read_records(path, decode: Callable[[dict], T], kind: str) -> dict[str, T]:
         try:
             d = json.loads(line)
             rec = decode(d)
-        except (ValueError, KeyError, TypeError) as e:
+        # json raises RecursionError on nesting deeper than the stack.
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
             raise ValueError(f"{path}:{n}: not {kind} record ({type(e).__name__}: {e})") from e
         if d["id"] in out:
             raise ValueError(f"{path}:{n}: repeated id {d['id']!r}")

@@ -474,6 +474,21 @@ def test_prove_instance_missing_field_exits_2(capsys, tmp_path):
     assert f"{bad}:1:" in err
 
 
+@pytest.mark.parametrize(
+    "command, which",
+    [("prove", "gold"), ("check", "gold"), ("eval", "gold"), ("check", "preds"), ("eval", "preds")],
+)
+def test_record_nested_past_the_stack_exits_2(capsys, gold_and_preds, command, which):
+    gold, preds = gold_and_preds
+    path = {"gold": gold, "preds": preds}[which]
+    lines = path.read_text().splitlines()
+    lines[1] = "[" * 100_000 + "]" * 100_000
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 2
+    assert f"{path}:2:" in err and "Traceback" not in err
+
+
 def test_eval_malformed_predictions_exits_2(capsys, gold_and_preds):
     gold, preds = gold_and_preds
     _corrupt(preds, 3)
