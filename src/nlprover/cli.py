@@ -14,7 +14,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
-from pathlib import Path
 
 from .datagen import (
     GenConfig,
@@ -32,7 +31,7 @@ from .datagen import (
 from .engine import DEFAULT_BUDGET, format_proof, step_fields
 from .evaluation import PredictionRecord, check_proof, score
 from .judge import UNKNOWN, check_sat, judge
-from .language import DEFAULT_LEXICON, Lexicon, ParseError, load_lexicon, to_sentence
+from .language import DEFAULT_LEXICON, Lexicon, ParseError, load_lexicon, read_utf8, to_sentence
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,8 +85,8 @@ def _prediction_from_dict(d: dict) -> tuple[str, list[tuple[tuple[str, str], str
 
 def _read_theory_file(path: str) -> list[str]:
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
+        raw = read_utf8(path)
+    except (OSError, ValueError) as e:
         raise InputError(str(e)) from e
     lines = []
     for ln in raw.splitlines():

@@ -35,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .engine import DEFAULT_BUDGET, HALT_BUDGET, ProofStep
@@ -50,7 +49,7 @@ from .judge import (
     nl_renderer,
     refutation_target,
 )
-from .language import Lexicon, Sentence, to_sentence
+from .language import Lexicon, Sentence, read_utf8, to_sentence
 from .logic import Clause, Const, Func, Literal, Var, clause_to_str
 from .normalize import Formula, compile_clauses
 
@@ -446,7 +445,7 @@ def write_records(records: Iterable[dict], path) -> int:
     import json
 
     n = 0
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
             n += 1
@@ -469,7 +468,7 @@ def read_records(path, decode: Callable[[dict], T], kind: str) -> dict[str, T]:
     import json
 
     out: dict[str, T] = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -10,17 +10,21 @@ Otter moves it into the set of support the same way).
   promoted and every pair of kept clauses is resolved once, first in
   first out. The budget bounds the number of accepted resolvents, and
   steps_used is that number.
-* sos_linear (default): the loop is a decision pre-check. The support
-  clauses (goals) are queued, the other clauses start usable, and
-  saturation decides whether the empty clause is reachable. When it may
-  be, an iterative-deepening search recovers a linear chain: the first
-  premise chain starts at a goal clause, every later step keeps the
-  previous resolvent as one premise, and the other premise comes from
-  the input clauses or an ancestor on the current chain. The budget
+* sos_linear (default): the loop is a decision pre-check. It leaves out
+  every clause that holds a pure literal, repeated until none is left,
+  since no refutation can use one; when no goal is left, the set is not
+  refutable. The remaining support clauses (goals) are queued, the other
+  remaining clauses start usable, and saturation decides whether the
+  empty clause is reachable. When it may be, an iterative-deepening
+  search recovers a linear chain: the first premise chain starts at a
+  goal clause, every later step keeps the previous resolvent as one
+  premise, and the other premise comes from the input clauses (all of
+  them, pure or not) or an ancestor on the current chain. The budget
   bounds the length of one chain, and steps_used is the length of the
   refutation found (0 when none was). If deepening passes its work limit
-  on a set the pre-check refuted, the pre-check's derivation is returned
-  when it fits the budget: a saturation DAG, not a shortest linear chain.
+  on a set the pre-check refuted, the pre-check's derivation from the
+  clauses it kept is returned when it fits the budget: a saturation DAG,
+  not a shortest linear chain.
 
 Each search returns its halt reason, its step count and the derivation of
 the empty clause as (premise, premise, conclusion) triples; `refute` alone
@@ -34,7 +38,9 @@ reached.
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
 finds a given clause's partners through a (predicate, polarity) index
-instead of scanning every usable clause.
+instead of scanning every usable clause. In the same way a clause is
+tried as a subsumer of a candidate only when, for each (predicate,
+polarity), it has no more literals than the candidate.
 """
 
 from __future__ import annotations
@@ -360,8 +366,11 @@ def _given_clause_loop(
     # clauses holding such a literal
     index: dict[tuple[str, bool], list[int]] = {}
     # (predicate, polarity) of its first literal -> input and accepted
-    # clauses: a subsumer maps that literal to one of the candidate's
-    subsumers: dict[tuple[str, bool], list[Clause]] = {}
+    # clauses, each with its literal count per (predicate, polarity): a
+    # subsumer maps that literal to one of the candidate's, and maps its
+    # literals to distinct literals of the candidate, so it can subsume
+    # only a candidate with at least as many of each
+    subsumers: dict[tuple[str, bool], list[tuple[Clause, tuple]]] = {}
     start_ids = {c.id for c in start_usable}
     promoted: set[int] = set()
 
@@ -373,12 +382,14 @@ def _given_clause_loop(
     def add_subsumer(c: Clause) -> None:
         if c.literals:
             first = c.literals[0]
-            subsumers.setdefault((first.pred, first.positive), []).append(c)
+            counts = tuple(_sign_counts(c).items())
+            subsumers.setdefault((first.pred, first.positive), []).append((c, counts))
 
     def subsumer_of(cand: Clause) -> Optional[Clause]:
-        for key in dict.fromkeys((l.pred, l.positive) for l in cand.literals):
-            for s in subsumers.get(key, ()):
-                if subsumes(s, cand):
+        have = _sign_counts(cand)
+        for key in have:
+            for s, counts in subsumers.get(key, ()):
+                if all(have.get(k, 0) >= n for k, n in counts) and subsumes(s, cand):
                     return s
         return None
 
@@ -418,6 +429,29 @@ def _given_clause_loop(
     return (HALT_SATURATED if by_conclusion else HALT_NO_PAIR), len(by_conclusion), []
 
 
+def _sign_counts(c: Clause) -> dict[tuple[str, bool], int]:
+    """The number of c's literals of each (predicate, polarity), in
+    first-occurrence order."""
+    counts: dict[tuple[str, bool], int] = {}
+    for l in c.literals:
+        key = (l.pred, l.positive)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _without_pure(clauses: list[Clause]) -> list[Clause]:
+    """The clauses left once every clause holding a pure literal is dropped,
+    repeated until none is: a literal is pure when no clause left holds its
+    predicate with the other polarity. No refutation resolves a pure literal
+    away, so none uses a clause that holds one (Davis and Putnam, 1960)."""
+    while True:
+        signs = {(l.pred, l.positive) for c in clauses for l in c.literals}
+        kept = [c for c in clauses if all((l.pred, not l.positive) in signs for l in c.literals)]
+        if len(kept) == len(clauses):
+            return kept
+        clauses = kept
+
+
 def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
     """Derivation of the empty clause: walk premise ids back through the
     step log, then order by conclusion id."""
@@ -454,7 +488,8 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     """Iterative-deepening search over linear derivations of length <= budget.
 
     The given-clause loop, with the goals queued, decides refutability
-    first; the deepening search then recovers a shortest-length chain.
+    first, over the clauses that hold no pure literal; the deepening search
+    then recovers a shortest-length chain, with every clause as a side.
     Past the work limit the loop's derivation answers instead, when it fits
     the budget; that derivation is a DAG, not a linear chain.
     A chain clause's candidates are made one at a time, as the search tries
@@ -468,8 +503,15 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     # Roots are the support clauses present at entry (goal clauses, plus any
     # theory clause a goal collapsed into at insertion).
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
-    others = [c for c in tset.clauses if not tset.is_supported(c.id)]
-    halt, _, derivation = _given_clause_loop(tset, goals, others, _SATURATE_CAP)
+    # The pre-check leaves out the clauses no refutation can use; when that
+    # is every goal, nothing is refutable. The deepening search keeps them:
+    # leaving them out there would renumber the resolvents it prints.
+    kept = _without_pure(tset.clauses)
+    kept_goals = [c for c in kept if tset.is_supported(c.id)]
+    if not kept_goals:
+        return HALT_NO_PAIR, 0, []
+    others = [c for c in kept if not tset.is_supported(c.id)]
+    halt, _, derivation = _given_clause_loop(tset, kept_goals, others, _SATURATE_CAP)
     # Saturation without the empty clause decides the set; a refutable or
     # capped pre-check leaves the proof to the deepening search.
     if halt in (HALT_SATURATED, HALT_NO_PAIR):

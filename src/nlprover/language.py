@@ -97,12 +97,21 @@ DEFAULT_LEXICON = Lexicon(
 )
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file, whatever the locale. Raises OSError when it
+    cannot be read, and ValueError naming the path when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
 def load_lexicon(path) -> Lexicon:
     """Line-oriented lexicon file with [entities], [attributes], [relations]
     sections; blank lines and #-comments ignored."""
     sections: dict[str, list[str]] = {"entities": [], "attributes": [], "relations": []}
     current: Optional[str] = None
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_utf8(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -15,18 +15,31 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Union
 
 
+# Terms and literals key every memo, index and seen-set of the search, so
+# each computes its hash once, at construction: the hash the dataclass would
+# compute, from the fields that take part in equality. The hash of a str
+# differs between interpreters, so a pickle carries the fields alone and the
+# hash is computed again where it is loaded.
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "name", sys.intern(self.name))
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __repr__(self):
         return f"Var({self.name})"
@@ -35,9 +48,17 @@ class Var:
 @dataclass(frozen=True, slots=True)
 class Const:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "name", sys.intern(self.name))
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Const, (self.name,)
 
     def __repr__(self):
         return f"Const({self.name})"
@@ -51,9 +72,17 @@ class Func:
 
     name: str
     args: tuple["Term", ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "name", sys.intern(self.name))
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Func, (self.name, self.args)
 
     def __repr__(self):
         return f"Func({self.name}, {self.args!r})"
@@ -67,9 +96,17 @@ class Literal:
     positive: bool
     pred: str
     args: tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pred", sys.intern(self.pred))
+        object.__setattr__(self, "_hash", hash((self.positive, self.pred, self.args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.positive, self.pred, self.args)
 
     def __repr__(self):
         return f"Literal({literal_to_str(self)})"

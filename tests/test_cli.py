@@ -678,6 +678,40 @@ def test_predicted_step_premises_not_a_pair_exit_2(capsys, gold_and_preds, comma
     assert f"{preds}:2:" in err and recs[1]["id"] in err and "premises_fol" in err
 
 
+_PROVE_PAIR = ["prove", "--hypothesis", "Bob is kind.", "--theory", "T"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (_PROVE_PAIR, "T"),
+        (["sat", "--theory", "T"], "T"),
+        (_PROVE_PAIR + ["--lexicon", "L"], "L"),
+        (["sat", "--theory", "T", "--lexicon", "L"], "L"),
+        (["prove", "--instances", "G", "--jobs", "1"], "G"),
+        (["eval", "--predictions", "P", "--gold", "G"], "G"),
+        (["eval", "--predictions", "P", "--gold", "G"], "P"),
+        (["check", "--proofs", "P", "--instances", "G"], "G"),
+        (["check", "--proofs", "P", "--instances", "G"], "P"),
+    ],
+    ids=[
+        "prove-theory", "sat-theory", "prove-lexicon", "sat-lexicon", "prove-instances",
+        "eval-gold", "eval-predictions", "check-instances", "check-proofs",
+    ],
+)
+def test_non_utf8_input_exits_2_naming_the_file(capsys, tmp_path, gold_and_preds, theory_file, argv, bad):
+    gold, preds = gold_and_preds
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("[entities]\nBob\n[attributes]\nkind\n")
+    paths = {"T": theory_file, "L": str(lexicon), "G": str(gold), "P": str(preds)}
+    with open(paths[bad], "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2
+    assert f"{paths[bad]}: " in err and "utf-8" in err
+    assert not out
+
+
 def _usage_exit(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))

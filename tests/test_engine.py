@@ -612,13 +612,13 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
     return RefutationResult(False, len(by_conclusion), [], reason)
 
 
-def _function_free_clauses():
+def _function_free_clauses(max_size=2):
     lit = st.sampled_from(sorted(_ARITY)).flatmap(
         lambda p: st.builds(
             Literal, st.booleans(), st.just(p), st.tuples(*[st.one_of(_VARS, _CONSTS)] * _ARITY[p])
         )
     )
-    return st.lists(lit, min_size=1, max_size=2).map(lambda ls: Clause(tuple(ls)))
+    return st.lists(lit, min_size=1, max_size=max_size).map(lambda ls: Clause(tuple(ls)))
 
 
 def _template_clauses(ground, max_size=3):
@@ -697,19 +697,37 @@ def test_unrestricted_decides_like_oracle(clauses):
 # verbatim but for the kernel call and its two limits, which are passed in.
 # The recursive descent stored every clause it reached in the theory set,
 # marked supported, so proof ids came from the set. Its pre-check has since
-# changed twice, and the reference follows: the pre-check drops subsumed
-# candidates, and its derivation answers when the descent passes the work
-# limit, if it fits the budget. Without subsumption the pre-check can stop
-# on its cap where the subsuming one decides: on -p(v1), the goal
-# p(v1) | r(v1) and -p(v2) | -r(f(v2)), the plain loop derives
-# r(v1) | -r(f(v1)), r(v1) | -r(f(f(v1))), ... up to its cap, and r(v1)
-# subsumes them all.
+# changed three times, and the reference follows: the pre-check drops
+# subsumed candidates, its derivation answers when the descent passes the
+# work limit, if it fits the budget, and it leaves out the clauses that hold
+# a pure literal (prune=False runs it on every clause, as before). Without
+# subsumption the pre-check can stop on its cap where the subsuming one
+# decides: on -p(v1), the goal p(v1) | r(v1) and -p(v2) | -r(f(v2)), the
+# plain loop derives r(v1) | -r(f(v1)), r(v1) | -r(f(f(v1))), ... up to its
+# cap, and r(v1) subsumes them all.
 
 
-def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap):
+def _ref_without_pure(clauses):
+    # Drop one clause that holds a pure literal at a time, until none does.
+    clauses = list(clauses)
+    while True:
+        for c in clauses:
+            if any(
+                not any(m.pred == l.pred and m.positive != l.positive for d in clauses for m in d.literals)
+                for l in c.literals
+            ):
+                clauses.remove(c)
+                break
+        else:
+            return clauses
+
+
+def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap, prune=True):
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
-    others = [c for c in tset.clauses if not tset.is_supported(c.id)]
-    halt, _, derivation = _given_clause_loop(tset, goals, others, saturate_cap)
+    pre = _ref_without_pure(tset.clauses) if prune else tset.clauses
+    pre_goals = [c for c in pre if tset.is_supported(c.id)]
+    others = [c for c in pre if not tset.is_supported(c.id)]
+    halt, _, derivation = _given_clause_loop(tset, pre_goals, others, saturate_cap)
     if halt in (HALT_SATURATED, HALT_NO_PAIR):
         return RefutationResult(False, 0, [], HALT_NO_PAIR)
 
@@ -868,6 +886,78 @@ def test_sos_linear_matches_recursive_reference_on_chains(entries, budget, small
             build(), budget, work_limit=work_limit, saturate_cap=engine._SATURATE_CAP
         )
         assert _outcome(got) == _outcome(want)
+
+
+# A function-free clause of one or two literals whose first literal is
+# made positive: a set of these is satisfied by making every atom true.
+_POSITIVE_CLAUSES = _function_free_clauses().map(
+    lambda c: Clause((Literal(True, c.literals[0].pred, c.literals[0].args), *c.literals[1:]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(_POSITIVE_CLAUSES, st.just(False)),
+            st.tuples(_function_free_clauses(), st.just(True)),
+        ),
+        min_size=2,
+        max_size=10,
+    ),
+    st.integers(0, 6),
+)
+def test_pure_literal_deletion_moves_no_outcome(entries, budget):
+    # Binary predicates, clauses with several positive literals and several
+    # goals, at the real limits. The theory is satisfiable, so set of
+    # support decides refutability with or without the clauses that hold a
+    # pure literal, none of which is in a refutation, and leaving them out
+    # of the pre-check changes nothing that refute returns. Sets that a
+    # pre-check over every clause cannot decide within 300 resolvents are
+    # left out: at the real cap they are slow.
+    def build():
+        t = TheorySet()
+        for c, supported in entries:
+            t.add(c, supported=supported)
+        return t
+
+    t = build()
+    if not t.clauses or _precheck(t, 300)[0] == HALT_BUDGET:
+        return
+    got = refute(t, strategy=SOS_LINEAR, budget=budget)
+    want = _ref_refute_sos_linear(
+        build(),
+        budget,
+        work_limit=engine._WORK_LIMIT,
+        saturate_cap=engine._SATURATE_CAP,
+        prune=False,
+    )
+    assert _outcome(got) == _outcome(want)
+
+
+def test_pure_literal_deletion_runs_to_a_fixpoint():
+    # r is pure at first; once p(a) | r(a) is gone, -p is; then -q. -t(a)
+    # and t(a) keep each other.
+    texts = ["-p(v1) | q(v1)", "-q(v1) | t(v1)", "p(a) | r(a)", "-t(a)", "t(a)"]
+    clauses = [Clause(parse_clause(x).literals, i) for i, x in enumerate(texts, start=1)]
+    assert [c.id for c in engine._without_pure(clauses)] == [4, 5]
+    assert [c.id for c in _ref_without_pure(clauses)] == [4, 5]
+
+
+def test_pure_goals_end_the_search_before_any_inference(monkeypatch):
+    # The theory alone is refutable, but r has no positive literal, so no
+    # refutation starts at the goal -r(v1).
+    t = TheorySet()
+    t.add(parse_clause("-r(v1)"), supported=True)
+    for text in ("q(a)", "-q(v1) | s(v1)", "-s(a)"):
+        t.add(parse_clause(text))
+
+    def no_inferences(*args):
+        pytest.fail("inferences called")
+
+    monkeypatch.setattr(engine, "inferences", no_inferences)
+    result = refute(t, strategy=SOS_LINEAR)
+    assert (result.refuted, result.steps_used, result.halt_reason) == (False, 0, HALT_NO_PAIR)
 
 
 def _self_resolving_chain_set():

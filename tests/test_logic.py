@@ -189,3 +189,36 @@ def test_tautology_detection():
 
 def test_empty_clause_prints_as_brackets():
     assert clause_to_str(Clause(())) == "[]"
+
+
+def test_pickled_terms_and_literals_hash_as_fresh_ones_under_another_hash_seed(tmp_path):
+    # Each class keeps its hash from construction; a str hashes differently
+    # under another PYTHONHASHSEED, so a pickle must not carry that hash.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nlprover
+
+    src = str(Path(nlprover.__file__).resolve().parent.parent)
+    values = (
+        "(Var('x'), Const('Bob'), Func('f', (Var('x'), Const('a'))),"
+        " Literal(False, 'kind', (Func('f', (Var('x'),)), Const('Bob'))))"
+    )
+    prelude = f"import pickle, sys; sys.path.insert(0, {src!r}); from nlprover.logic import *; "
+    dump = prelude + f"sys.stdout.buffer.write(pickle.dumps({values}))"
+    load = prelude + (
+        f"old = pickle.loads(sys.stdin.buffer.read()); new = {values}; "
+        "print(all(a == b and hash(a) == hash(b) and a in {b} for a, b in zip(old, new)))"
+    )
+
+    def python(code, seed, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=data, capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    assert python(load, "2", python(dump, "1")).strip() == b"True"
