@@ -612,13 +612,13 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
     return RefutationResult(False, len(by_conclusion), [], reason)
 
 
-def _function_free_clauses(max_size=2):
+def _function_free_clauses():
     lit = st.sampled_from(sorted(_ARITY)).flatmap(
         lambda p: st.builds(
             Literal, st.booleans(), st.just(p), st.tuples(*[st.one_of(_VARS, _CONSTS)] * _ARITY[p])
         )
     )
-    return st.lists(lit, min_size=1, max_size=max_size).map(lambda ls: Clause(tuple(ls)))
+    return st.lists(lit, min_size=1, max_size=2).map(lambda ls: Clause(tuple(ls)))
 
 
 def _template_clauses(ground, max_size=3):
@@ -629,7 +629,7 @@ def _template_clauses(ground, max_size=3):
     lit = st.builds(
         lambda pos, pred, a: Literal(pos, pred, (a,)), st.booleans(), st.sampled_from("prs"), arg
     )
-    return st.lists(lit, min_size=1, max_size=max_size).map(lambda ls: Clause(tuple(ls)))
+    return st.lists(lit, min_size=1, max_size=2).map(lambda ls: Clause(tuple(ls)))
 
 
 @settings(max_examples=300, deadline=None)
