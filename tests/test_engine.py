@@ -629,7 +629,7 @@ def _template_clauses(ground, max_size=3):
     lit = st.builds(
         lambda pos, pred, a: Literal(pos, pred, (a,)), st.booleans(), st.sampled_from("prs"), arg
     )
-    return st.lists(lit, min_size=1, max_size=2).map(lambda ls: Clause(tuple(ls)))
+    return st.lists(lit, min_size=1, max_size=max_size).map(lambda ls: Clause(tuple(ls)))
 
 
 @settings(max_examples=300, deadline=None)
