@@ -1,28 +1,28 @@
 """Synthetic labeled theories with gold refutation proofs, the training
 record extractor, and the model-enumeration oracle used to check every
-label independently of the resolution engine.
+label.
 
 The oracle grounds each clause set over its Herbrand domain (the constants
 that occur, plus one witness constant when none do) and decides
-satisfiability by exhaustive assignment search with unit propagation. That
-is a completely separate decision path from resolution, which is exactly
-why it can arbitrate.
+satisfiability by exhaustive assignment search with unit propagation
+(`herbrand`). The engine's sos-linear pre-check decides function-free sets
+with the same grounding and search before it resolves anything, so the
+oracle is no longer a decision path wholly apart from the engine. Its
+independence as an arbiter rests on tests: the pre-check's decisions are
+compared with a resolution-only reference search, and the grounding and the
+search with the earlier term-building grounding and a clause-copying DPLL,
+kept verbatim in the tests.
 
-Grounding builds no terms: each clause is compiled once into literal
-templates whose variables are slot numbers, and each assignment yields atom
-keys (predicate, constant names) that are numbered in first-use order. A
-theory is ground once per domain and kept in a bounded memo, so the checks
-that add a hypothesis or its negation to the same theory ground only what
-they add, numbering new atoms after the theory's.
-
-Ground clauses and assignments are pairs of atom bitmasks, so propagation
-is a few integer operations per clause. The memo entry also keeps the
-theory's propagated state, which every check starts from, and a few models
-found by earlier checks. A check whose added clauses hold in a stored model
-(with the atoms the theory lacks set false) is satisfiable, since that
-assignment satisfies the whole list; every other check is searched in full.
-The search is still exhaustive: "unsatisfiable" means that no assignment
-works.
+A theory's constants and predicates are scanned once, and its grounding
+over each domain is kept in a bounded memo, so the checks that add a
+hypothesis or its negation to the same theory scan and ground only what
+they add, numbering new atoms after the theory's. The memo entry also keeps
+the theory's propagated state, which every check starts from, and a few
+models found by earlier checks. A check whose added clauses hold in a
+stored model (with the atoms the theory lacks set false) is satisfiable,
+since that assignment satisfies the whole list; every other check is
+searched in full. The search is still exhaustive: "unsatisfiable" means
+that no assignment works.
 """
 
 from __future__ import annotations
@@ -34,10 +34,18 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .engine import DEFAULT_BUDGET, HALT_BUDGET, ProofStep
+from .herbrand import (
+    ORACLE_MAX_ATOMS,
+    OracleOverflowError,
+    _domain,
+    _holds,
+    _scan,
+    _TheoryGrounding,
+)
 from .judge import (
     FALSE,
     SATISFIABLE,
@@ -50,10 +58,9 @@ from .judge import (
     refutation_target,
 )
 from .language import Lexicon, Sentence, read_utf8, to_sentence
-from .logic import Clause, Const, Func, Literal, Var, clause_to_str
+from .logic import Clause, Literal, clause_to_str
 from .normalize import Formula, compile_clauses
 
-ORACLE_MAX_ATOMS = 24
 _GOLD_LABELS = (TRUE, FALSE, UNKNOWN, SATISFIABLE, UNSATISFIABLE)
 MAX_EXISTENTIAL_FACTS = 2
 _STALL_LIMIT = 2000
@@ -65,10 +72,6 @@ ATTR_POOL = (
     "kind", "round", "rough", "tall", "happy", "big", "blue", "green",
     "quiet", "smart", "brave", "calm",
 )
-
-
-class OracleOverflowError(Exception):
-    """Ground atom space too large to enumerate."""
 
 
 class InconsistentTheoryError(Exception):
@@ -84,104 +87,7 @@ class GenerationStalledError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Model-enumeration oracle
-#
-# A ground clause is a pair of bitmasks (positive atoms, negated atoms), bit
-# i standing for atom i; an assignment is likewise a pair (true atoms, false
-# atoms). A model is the int of its true atoms: every atom not in it is false.
-
-
-def _propagate(
-    clauses: Iterable[tuple[int, int]], t: int, f: int
-) -> Optional[tuple[int, int, list[tuple[int, int]]]]:
-    """Unit propagation from the partial assignment (t, f). Returns the
-    extended assignment and the clauses it leaves open, cut down to their
-    unassigned literals, or None when a clause has every literal false."""
-    while True:
-        open_: list[tuple[int, int]] = []
-        forced = False
-        for pos, neg in clauses:
-            if pos & t or neg & f:
-                continue
-            pos &= ~f
-            neg &= ~t
-            free = pos | neg
-            if not free:
-                return None
-            if free & (free - 1):
-                open_.append((pos, neg))
-            elif pos:
-                t |= pos
-                forced = True
-            else:
-                f |= neg
-                forced = True
-        if not forced:
-            return t, f, open_
-        clauses = open_
-
-
-def _solve(clauses: Iterable[tuple[int, int]], t: int = 0, f: int = 0) -> Optional[int]:
-    """A model of `clauses` that extends the partial assignment (t, f), or
-    None when there is none: unit propagation, then a split on the lowest
-    atom of the first open clause, true first."""
-    state = _propagate(clauses, t, f)
-    if state is None:
-        return None
-    t, f, open_ = state
-    if not open_:
-        return t
-    pos, neg = open_[0]
-    free = pos | neg
-    bit = free & -free
-    model = _solve(open_, t | bit, f)
-    return model if model is not None else _solve(open_, t, f | bit)
-
-
-def _ground_instances(
-    clauses: Iterable[tuple[Literal, ...]],
-    domain: tuple[str, ...],
-    known: dict,
-    atoms: dict,
-) -> Iterator[tuple[int, int]]:
-    """Every non-tautological ground instance of `clauses` over `domain`.
-    No terms are built: each literal becomes (positive, pred, argument
-    template), where an int in the template is a variable's slot in
-    first-occurrence order and a str is a constant's name. An atom keeps
-    its number in `known`; any other is numbered in `atoms`, on from the
-    atoms of `known`, in first-use order."""
-    first = len(known) + 1
-    for literals in clauses:
-        slots: dict[Var, int] = {}
-        template = [
-            (
-                lit.positive,
-                lit.pred,
-                tuple(
-                    slots.setdefault(a, len(slots)) if isinstance(a, Var) else a.name
-                    for a in lit.args
-                ),
-            )
-            for lit in literals
-        ]
-        for assignment in product(domain, repeat=len(slots)):
-            pos = neg = 0
-            for positive, pred, args in template:
-                key = (pred, tuple(assignment[a] if type(a) is int else a for a in args))
-                idx = known.get(key) or atoms.get(key)
-                if idx is None:
-                    idx = atoms[key] = first + len(atoms)
-                bit = 1 << idx
-                if positive:
-                    if neg & bit:
-                        break  # tautology; the atoms after it stay unnumbered
-                    pos |= bit
-                else:
-                    if pos & bit:
-                        break
-                    neg |= bit
-            else:
-                yield pos, neg
+# Model-enumeration oracle (grounding and SAT core in herbrand)
 
 
 # Models kept per (theory, domain). generate() puts up to 33 satisfiability
@@ -191,70 +97,76 @@ def _ground_instances(
 _MODEL_STORE_SIZE = 8
 
 
-class _TheoryGrounding:
-    """A theory's grounding over one domain: its atom numbers, its ground
-    clauses in first-instance order, its unit-propagated state (None when
-    propagation alone refutes it), and models found by earlier checks. Only
-    the model store changes after construction."""
+class _StoredGrounding(_TheoryGrounding):
+    """A theory grounding with the models that earlier checks found, each
+    cut down to the theory's atoms (`mask`)."""
 
-    __slots__ = ("atoms", "ground", "seen", "base", "mask", "models")
+    __slots__ = ("mask", "models")
 
     def __init__(self, theory: tuple[tuple[Literal, ...], ...], domain: tuple[str, ...]):
-        self.atoms: dict = {}
-        self.ground = list(dict.fromkeys(_ground_instances(theory, domain, {}, self.atoms)))
-        self.seen = set(self.ground)
-        self.base = _propagate(self.ground, 0, 0)
+        super().__init__(theory, domain)
         self.mask = (1 << (len(self.atoms) + 1)) - 2
         self.models: deque[int] = deque(maxlen=_MODEL_STORE_SIZE)
 
 
-# One entry per (theory, domain): atom numbers, ground clauses, propagated
-# state and up to _MODEL_STORE_SIZE models, about 13 KB for a default-size
-# theory at the 24-atom cap. generate() makes at most 17 oracle calls on one
-# theory in a row (oracle_sat, then oracle_entail per candidate hypothesis,
-# over one or two domains), so a small bound keeps every hit, and with it
-# the models those calls store.
+# Domains kept per theory. generate() asks about a theory over its own
+# constants, and over one more for each candidate hypothesis that names an
+# entity or an sk-constant the theory lacks: at most 8 domains (its own, one
+# per name of the six-name pool, and one for an existential hypothesis).
+_DOMAINS_PER_THEORY = 8
+
+
+class _Theory:
+    """A theory's constants in first-occurrence order and its (predicate,
+    arity) pairs, scanned once, and its grounding over each domain a check
+    has needed, up to _DOMAINS_PER_THEORY of them, oldest dropped first."""
+
+    __slots__ = ("literals", "consts", "preds", "groundings")
+
+    def __init__(self, theory: tuple[tuple[Literal, ...], ...]):
+        self.literals = theory
+        self.consts, self.preds = _scan(theory)
+        self.groundings: dict[tuple[str, ...], _StoredGrounding] = {}
+
+    def over(self, domain: tuple[str, ...]) -> _StoredGrounding:
+        grounding = self.groundings.get(domain)
+        if grounding is None:
+            if len(self.groundings) == _DOMAINS_PER_THEORY:
+                del self.groundings[next(iter(self.groundings))]
+            grounding = self.groundings[domain] = _StoredGrounding(self.literals, domain)
+        return grounding
+
+
+# One entry per theory: its scan and up to _DOMAINS_PER_THEORY groundings,
+# each with its atom numbers, ground clauses, propagated state and up to
+# _MODEL_STORE_SIZE models, about 13 KB a grounding for a default-size theory
+# at the 24-atom cap. generate() makes at most 17 oracle calls on one theory
+# in a row (oracle_sat, then oracle_entail per candidate hypothesis), so a
+# small bound keeps every hit, and with it the models those calls store.
 _GROUND_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_GROUND_CACHE_SIZE)
-def _ground_theory(
-    theory: tuple[tuple[Literal, ...], ...], domain: tuple[str, ...]
-) -> _TheoryGrounding:
-    return _TheoryGrounding(theory, domain)
+def _ground_theory(theory: tuple[tuple[Literal, ...], ...]) -> _Theory:
+    return _Theory(theory)
 
 
 def _ground(
     theory: tuple[tuple[Literal, ...], ...],
     extra: Iterable[tuple[Literal, ...]],
     max_atoms: int,
-) -> tuple[_TheoryGrounding, list[tuple[int, int]]]:
+) -> tuple[_StoredGrounding, list[tuple[int, int]]]:
     """The ground clauses of `theory + extra` over their Herbrand domain (the
     constants, or the witness c0 when there are none): the theory's memoized
     grounding and the instances of `extra` that it lacks. Atoms are numbered
-    exactly as when the whole list is ground at once."""
+    exactly as when the whole list is ground at once. Only `extra` is
+    scanned; the theory's scan is memoized with its groundings."""
+    entry = _ground_theory(theory)
     extra = list(extra)
-    consts: dict[str, None] = {}
-    preds: dict[tuple[str, int], None] = {}
-    for literals in (*theory, *extra):
-        for lit in literals:
-            preds.setdefault((lit.pred, len(lit.args)))
-            for a in lit.args:
-                if isinstance(a, Func):
-                    raise OracleOverflowError(
-                        "oracle_overflow: function terms are outside oracle reach"
-                    )
-                if isinstance(a, Const):
-                    consts.setdefault(a.name)
-    domain = tuple(consts) or ("c0",)
-    n_atoms = sum(len(domain) ** arity for _, arity in preds)
-    if n_atoms > max_atoms:
-        raise OracleOverflowError(
-            f"oracle_overflow: {n_atoms} ground atoms exceeds the cap of {max_atoms}"
-        )
-    grounding = _ground_theory(theory, domain)
-    instances = dict.fromkeys(_ground_instances(extra, domain, grounding.atoms, {}))
-    return grounding, [g for g in instances if g not in grounding.seen]
+    consts, preds = _scan(extra)
+    domain = _domain({**entry.consts, **consts}, {**entry.preds, **preds}, max_atoms)
+    grounding = entry.over(domain)
+    return grounding, grounding.instances(extra)
 
 
 def _satisfiable(
@@ -270,10 +182,9 @@ def _satisfiable(
     # A stored model, with every atom the theory lacks set false, is a full
     # assignment that satisfies the theory; if it satisfies the added
     # clauses too, the whole list is satisfiable.
-    if any(all(pos & m or neg & ~m for pos, neg in ground) for m in grounding.models):
+    if any(_holds(ground, m) for m in grounding.models):
         return True
-    t, f, open_ = grounding.base
-    model = _solve([*open_, *ground], t, f)
+    model = grounding.model(ground)
     if model is None:
         return False
     model &= grounding.mask

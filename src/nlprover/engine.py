@@ -10,21 +10,27 @@ Otter moves it into the set of support the same way).
   promoted and every pair of kept clauses is resolved once, first in
   first out. The budget bounds the number of accepted resolvents, and
   steps_used is that number.
-* sos_linear (default): the loop is a decision pre-check. It leaves out
+* sos_linear (default): a decision pre-check comes first. It leaves out
   every clause that holds a pure literal, repeated until none is left,
   since no refutation can use one; when no goal is left, the set is not
-  refutable. The remaining support clauses (goals) are queued, the other
-  remaining clauses start usable, and saturation decides whether the
-  empty clause is reachable. When it may be, an iterative-deepening
-  search recovers a linear chain: the first premise chain starts at a
-  goal clause, every later step keeps the previous resolvent as one
-  premise, and the other premise comes from the input clauses (all of
-  them, pure or not) or an ancestor on the current chain. The budget
-  bounds the length of one chain, and steps_used is the length of the
-  refutation found (0 when none was). If deepening passes its work limit
-  on a set the pre-check refuted, the pre-check's derivation from the
-  clauses it kept is returned when it fits the budget: a saturation DAG,
-  not a shortest linear chain.
+  refutable. A ground model decides a remaining set that is function-free
+  and has at most ORACLE_MAX_ATOMS ground atoms over its Herbrand domain,
+  when its non-goal clauses have a model (`herbrand`): a model of the whole
+  set means no refutation, and none means the goals reach the empty
+  clause, since set of support is complete when the other clauses are
+  satisfiable. Saturation decides every other set: the remaining goals are
+  queued, the other remaining clauses start usable, and the loop runs until
+  it reaches the empty clause or saturates. When the set may be refutable,
+  an iterative-deepening search recovers a linear chain: the first premise
+  chain starts at a goal clause, every later step keeps the previous
+  resolvent as one premise, and the other premise comes from the input
+  clauses (all of them, pure or not) or an ancestor on the current chain.
+  The budget bounds the length of one chain, and steps_used is the length
+  of the refutation found (0 when none was). If deepening passes its work
+  limit on a set the pre-check refuted, the saturation's derivation from
+  the clauses the pre-check kept is returned when it fits the budget: a
+  DAG, not a shortest linear chain. When a ground model decided the set,
+  the saturation runs for this fallback alone.
 
 Each search returns its halt reason, its step count and the derivation of
 the empty clause as (premise, premise, conclusion) triples; `refute` alone
@@ -50,6 +56,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
+from .herbrand import (
+    ORACLE_MAX_ATOMS,
+    OracleOverflowError,
+    _domain,
+    _holds,
+    _scan,
+    _TheoryGrounding,
+)
 from .logic import (
     Clause,
     Literal,
@@ -452,6 +466,27 @@ def _without_pure(clauses: list[Clause]) -> list[Clause]:
         clauses = kept
 
 
+def _ground_decision(theory: list[Clause], goals: list[Clause]) -> Optional[bool]:
+    """Whether `theory + goals` has a model, decided by grounding: True
+    when it has one, False when it has none but `theory` has one. Set of
+    support from `goals` is then complete (Wos, Robinson and Carson, 1965),
+    so False means the goals reach the empty clause. None otherwise: the
+    set holds a function term or has more than ORACLE_MAX_ATOMS ground
+    atoms over its Herbrand domain, or `theory` has no model."""
+    theory_literals = [c.literals for c in theory]
+    goal_literals = [c.literals for c in goals]
+    try:
+        domain = _domain(*_scan(theory_literals + goal_literals), ORACLE_MAX_ATOMS)
+    except OracleOverflowError:
+        return None
+    grounding = _TheoryGrounding(theory_literals, domain)
+    model = grounding.model()
+    if model is None:
+        return None
+    ground = grounding.instances(goal_literals)
+    return _holds(ground, model) or grounding.model(ground) is not None
+
+
 def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
     """Derivation of the empty clause: walk premise ids back through the
     step log, then order by conclusion id."""
@@ -487,9 +522,10 @@ class _Frame(NamedTuple):
 def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_Derivation]]:
     """Iterative-deepening search over linear derivations of length <= budget.
 
-    The given-clause loop, with the goals queued, decides refutability
-    first, over the clauses that hold no pure literal; the deepening search
-    then recovers a shortest-length chain, with every clause as a side.
+    Refutability is decided first, over the clauses that hold no pure
+    literal: by a ground model when `_ground_decision` can, otherwise by the
+    given-clause loop with the goals queued. The deepening search then
+    recovers a shortest-length chain, with every clause as a side.
     Past the work limit the loop's derivation answers instead, when it fits
     the budget; that derivation is a DAG, not a linear chain.
     A chain clause's candidates are made one at a time, as the search tries
@@ -511,11 +547,18 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     if not kept_goals:
         return HALT_NO_PAIR, 0, []
     others = [c for c in kept if not tset.is_supported(c.id)]
-    halt, _, derivation = _given_clause_loop(tset, kept_goals, others, _SATURATE_CAP)
-    # Saturation without the empty clause decides the set; a refutable or
-    # capped pre-check leaves the proof to the deepening search.
-    if halt in (HALT_SATURATED, HALT_NO_PAIR):
+    decided = _ground_decision(others, kept_goals)
+    if decided:
         return HALT_NO_PAIR, 0, []
+    # The pre-check's derivation, when it ran; the work limit's fallback is
+    # its only reader, so a ground decision leaves it to that fallback.
+    derivation: Optional[list[_Derivation]] = None
+    if decided is None:
+        halt, _, derivation = _given_clause_loop(tset, kept_goals, others, _SATURATE_CAP)
+        # Saturation without the empty clause decides the set; a refutable
+        # or capped pre-check leaves the proof to the deepening search.
+        if halt in (HALT_SATURATED, HALT_NO_PAIR):
+            return HALT_NO_PAIR, 0, []
 
     inputs = tset.clauses
     # Every clause reached, by canonical form: the inputs, then the resolvents
@@ -553,6 +596,10 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
                     continue
                 work += 1
                 if work > _WORK_LIMIT:
+                    if derivation is None:
+                        _, _, derivation = _given_clause_loop(
+                            tset, kept_goals, others, _SATURATE_CAP
+                        )
                     if 0 < len(derivation) <= budget:
                         return HALT_EMPTY, len(derivation), derivation
                     return HALT_BUDGET, 0, []

@@ -229,11 +229,14 @@ def to_clauses(
     dropped; the set is equisatisfiable with f. Raises CnfBlowupError when
     the clause count would exceed max_clauses; the namer is then advanced
     past the sk-names the formula took, and an open formula leaves it
-    untouched. Each (formula, namer index, max_clauses) is compiled once.
+    untouched. Each (formula, namer index, max_clauses) is compiled once;
+    without a namer, names start after the formula's own sk-names, found on
+    the first compile alone.
     """
     if namer is None:
-        namer = SkolemNamer.starting_after([f])
-    clauses, namer.next_index = _clause_form(f, namer.next_index, max_clauses)
+        clauses, _ = _clause_form(f, None, max_clauses)
+    else:
+        clauses, namer.next_index = _clause_form(f, namer.next_index, max_clauses)
     if clauses is None:
         raise CnfBlowupError("cnf_blowup")
     return list(clauses)
@@ -246,13 +249,14 @@ _CLAUSE_FORM_CACHE_SIZE = 1 << 14
 
 @lru_cache(maxsize=_CLAUSE_FORM_CACHE_SIZE)
 def _clause_form(
-    f: Formula, start: int, max_clauses: int
+    f: Formula, start: Optional[int], max_clauses: int
 ) -> tuple[Optional[tuple[Clause, ...]], int]:
-    """The clauses of f named from sk`start` on, or None when they would be
-    more than max_clauses, and the next free sk-index."""
+    """The clauses of f named from sk`start` on (after f's own sk-names when
+    `start` is None), or None when they would be more than max_clauses, and
+    the next free sk-index."""
     if free_vars(f):
         raise ValueError("formula has free variables")
-    namer = SkolemNamer(start)
+    namer = SkolemNamer.starting_after([f]) if start is None else SkolemNamer(start)
     matrix = _skolem_matrix(nnf(f), {}, [], namer)
     try:
         lit_lists = _distribute(matrix, max_clauses)

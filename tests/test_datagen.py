@@ -2,7 +2,6 @@ import hashlib
 import json
 from collections import Counter
 from itertools import islice, permutations, product
-from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from nlprover.datagen import (
     _ground_theory,
     _render_rule,
     _rule_key,
-    _solve,
     extract_training_samples,
     generate,
     generate_nlsat,
@@ -30,6 +28,7 @@ from nlprover.datagen import (
     oracle_sat,
 )
 from nlprover.engine import HALT_BUDGET, HALT_EMPTY, HALT_NO_PAIR
+from nlprover.herbrand import _solve
 from nlprover.judge import (
     FALSE,
     SATISFIABLE,
@@ -47,12 +46,10 @@ from nlprover.logic import (
     Func,
     Literal,
     Var,
-    clause_consts,
-    clause_vars,
     parse_clause,
-    subst_clause,
 )
 from nlprover.normalize import Atom, Exists, ForAll, Not, SkolemNamer, compile_clauses, to_clauses
+from oracle_utils import ref_dpll, ref_ground
 
 BOB = Const("Bob")
 
@@ -374,61 +371,10 @@ def test_oracle_ground_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Grounding against the one it replaced. The reference below is the earlier
-# `_ground`, kept verbatim: it grounds the whole clause list at once by
-# substituting each assignment into the clause and numbering atoms as met.
-
-
-def _ref_ground(clauses: Iterable[Clause], max_atoms: int) -> list[frozenset]:
-    clauses = list(clauses)
-    consts: dict[str, Const] = {}
-    preds: dict[tuple[str, int], None] = {}
-    for c in clauses:
-        for lit in c.literals:
-            preds.setdefault((lit.pred, len(lit.args)))
-            for a in lit.args:
-                if isinstance(a, Func):
-                    raise OracleOverflowError(
-                        "oracle_overflow: function terms are outside oracle reach"
-                    )
-        for k in clause_consts(c):
-            consts.setdefault(k.name, k)
-    domain = list(consts.values()) or [Const("c0")]
-    n_atoms = sum(len(domain) ** arity for _, arity in preds)
-    if n_atoms > max_atoms:
-        raise OracleOverflowError(
-            f"oracle_overflow: {n_atoms} ground atoms exceeds the cap of {max_atoms}"
-        )
-    atom_idx: dict = {}
-
-    def index_of(pred: str, args: tuple) -> int:
-        key = (pred, args)
-        if key not in atom_idx:
-            atom_idx[key] = len(atom_idx) + 1
-        return atom_idx[key]
-
-    ground: list[frozenset] = []
-    seen = set()
-    for c in clauses:
-        vs = clause_vars(c)
-        for assignment in product(domain, repeat=len(vs)):
-            g = subst_clause(dict(zip(vs, assignment)), c)
-            lits = set()
-            tautology = False
-            for lit in g.literals:
-                idx = index_of(lit.pred, lit.args)
-                signed = idx if lit.positive else -idx
-                if -signed in lits:
-                    tautology = True
-                    break
-                lits.add(signed)
-            if tautology:
-                continue
-            fs = frozenset(lits)
-            if fs not in seen:
-                seen.add(fs)
-                ground.append(fs)
-    return ground
+# Grounding against the one it replaced. The reference, `ref_ground` in
+# oracle_utils, is the earlier `_ground`, kept verbatim: it grounds the whole
+# clause list at once by substituting each assignment into the clause and
+# numbering atoms as met.
 
 
 _G_VARS = st.sampled_from([Var("v1"), Var("v2")])
@@ -485,7 +431,7 @@ def _ground_whole(theory, extra, cap):
 
 def _ref_ground_or_error(clauses, cap):
     try:
-        return _ref_ground(clauses, cap)
+        return ref_ground(clauses, cap)
     except OracleOverflowError as e:
         return ("overflow", str(e))
 
@@ -504,34 +450,9 @@ def test_ground_with_extra_matches_reference(case):
 
 
 # ---------------------------------------------------------------------------
-# The SAT core against the one it replaced. `_force` and `_dpll` below are
-# the earlier oracle's, kept verbatim: they rescan and copy the whole ground
-# list for every forced literal.
-
-
-def _force(clauses: list[frozenset], lit: int) -> list[frozenset]:
-    out = []
-    for c in clauses:
-        if lit in c:
-            continue
-        if -lit in c:
-            c = c - {-lit}
-        out.append(c)
-    return out
-
-
-def _dpll(clauses: list[frozenset]) -> bool:
-    while True:
-        if any(not c for c in clauses):
-            return False
-        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = _force(clauses, unit)
-    if not clauses:
-        return True
-    v = min(abs(l) for c in clauses for l in c)
-    return _dpll(_force(clauses, v)) or _dpll(_force(clauses, -v))
+# The SAT core against the one it replaced. `ref_dpll` in oracle_utils is
+# the earlier oracle's `_dpll`, kept verbatim: it rescans and copies the
+# whole ground list for every forced literal.
 
 
 def _as_masks(clause: frozenset) -> tuple[int, int]:
@@ -557,7 +478,7 @@ def _ground_lists(draw):
 @given(_ground_lists())
 def test_sat_core_matches_reference_dpll(clauses):
     model = _solve([_as_masks(c) for c in clauses])
-    assert (model is not None) == _dpll(clauses)
+    assert (model is not None) == ref_dpll(clauses)
     if model is not None:
         assert all(any((l > 0) == bool(model >> abs(l) & 1) for l in c) for c in clauses)
 
@@ -575,8 +496,8 @@ def test_sat_core_returns_the_empty_model():
 def _fresh_entail(theory, hypothesis, cap=24):
     """oracle_entail's answer from two solves of freshly ground lists."""
     theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
-    sat_with_neg = _dpll(_ref_ground(theory + neg_clauses, cap))
-    sat_with_h = _dpll(_ref_ground(theory + h_clauses, cap))
+    sat_with_neg = ref_dpll(ref_ground(theory + neg_clauses, cap))
+    sat_with_h = ref_dpll(ref_ground(theory + h_clauses, cap))
     return {
         (True, True): UNKNOWN,
         (True, False): TRUE,

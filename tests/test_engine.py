@@ -7,11 +7,12 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import nlprover.engine as engine
 from nlprover.datagen import GenConfig, generate, oracle_sat
+from nlprover.herbrand import ORACLE_MAX_ATOMS, OracleOverflowError
 from nlprover.engine import (
     HALT_BUDGET,
     HALT_EMPTY,
@@ -54,6 +55,7 @@ from nlprover.logic import (
     unify,
 )
 from nlprover.normalize import build_theory_sets
+from oracle_utils import ref_dpll, ref_ground
 
 LEX = DEFAULT_LEXICON
 BOB = Const("Bob")
@@ -697,14 +699,28 @@ def test_unrestricted_decides_like_oracle(clauses):
 # verbatim but for the kernel call and its two limits, which are passed in.
 # The recursive descent stored every clause it reached in the theory set,
 # marked supported, so proof ids came from the set. Its pre-check has since
-# changed three times, and the reference follows: the pre-check drops
+# changed four times, and the reference follows: the pre-check drops
 # subsumed candidates, its derivation answers when the descent passes the
-# work limit, if it fits the budget, and it leaves out the clauses that hold
-# a pure literal (prune=False runs it on every clause, as before). Without
+# work limit, if it fits the budget, it leaves out the clauses that hold a
+# pure literal (prune=False runs it on every clause, as before), and a
+# ground model of the clauses it kept means no refutation, so a pre-check
+# that stops on its cap on such a set answers no_valid_pair. Without
 # subsumption the pre-check can stop on its cap where the subsuming one
 # decides: on -p(v1), the goal p(v1) | r(v1) and -p(v2) | -r(f(v2)), the
 # plain loop derives r(v1) | -r(f(v1)), r(v1) | -r(f(f(v1))), ... up to its
-# cap, and r(v1) subsumes them all.
+# cap, and r(v1) subsumes them all. The engine grounds before its loop and
+# runs the loop only when grounding cannot decide or the fallback needs its
+# derivation; the reference always runs its loop first, and grounds only
+# when the loop stops on its cap, with the earlier oracle's grounding and
+# DPLL, so the two decide through different code.
+
+
+def _ref_has_ground_model(clauses):
+    # Function-free, within the oracle's atom cap, and satisfiable.
+    try:
+        return ref_dpll(ref_ground(clauses, ORACLE_MAX_ATOMS))
+    except OracleOverflowError:
+        return False
 
 
 def _ref_without_pure(clauses):
@@ -728,7 +744,9 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap, prune=True):
     pre_goals = [c for c in pre if tset.is_supported(c.id)]
     others = [c for c in pre if not tset.is_supported(c.id)]
     halt, _, derivation = _given_clause_loop(tset, pre_goals, others, saturate_cap)
-    if halt in (HALT_SATURATED, HALT_NO_PAIR):
+    if halt in (HALT_SATURATED, HALT_NO_PAIR) or (
+        halt == HALT_BUDGET and _ref_has_ground_model(pre)
+    ):
         return RefutationResult(False, 0, [], HALT_NO_PAIR)
 
     inputs = list(tset.clauses)
@@ -1004,6 +1022,185 @@ def test_refutation_needs_factors_of_duplicate_resolvents(strategy):
     t.add(parse_clause("-p(v1) | -p(v2)"), supported=True)
     result = refute(t, strategy=strategy)
     assert result.refuted and result.halt_reason == HALT_EMPTY
+
+
+# ---------------------------------------------------------------------------
+# The ground decision in the sos-linear pre-check.
+
+# Unary p, r and s and binary q: at most 18 ground atoms over three
+# constants, within the oracle's cap, and 28 over four, past it.
+_GD_ARITY = {"p": 1, "r": 1, "s": 1, "q": 2}
+_GD_TERMS = st.one_of(
+    st.sampled_from([Var("v1"), Var("v2")]), st.sampled_from([Const(n) for n in "abcd"])
+)
+_GD_CLAUSES = st.lists(
+    st.sampled_from(sorted(_GD_ARITY)).flatmap(
+        lambda p: st.builds(
+            Literal, st.booleans(), st.just(p), st.tuples(*[_GD_TERMS] * _GD_ARITY[p])
+        )
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda ls: Clause(tuple(ls)))
+
+# A draw is compared only when the reference decides it within this many
+# inferences in its pre-check and this many resolvents in its deepening
+# search: at the real cap and work limit one that does not is slow.
+_GD_INFERENCE_BOUND = 1000
+
+
+class _PastBound(Exception):
+    pass
+
+
+def _within(make, bound):
+    """`make` (resolve or inferences) as a list, raising _PastBound once
+    the calls have made more than `bound` clauses in all."""
+    made = 0
+
+    def bounded(c1, c2):
+        nonlocal made
+        out = list(make(c1, c2))
+        made += len(out)
+        if made > bound:
+            raise _PastBound
+        return out
+
+    return bounded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_GD_CLAUSES, st.booleans()), min_size=2, max_size=10), st.integers(0, 6))
+def test_ground_decision_matches_reference_on_function_free_sets(entries, budget):
+    # Non-Horn clauses, several goals, and theories that may have no model,
+    # where set of support is incomplete and the loop decides; at the real
+    # work limit and saturation cap. The events name each draw's halt reason
+    # and count the skipped draws (pytest --hypothesis-show-statistics).
+    def build():
+        t = TheorySet()
+        for c, supported in entries:
+            t.add(c, supported=supported)
+        return t
+
+    t = build()
+    if not t.clauses:
+        return
+    try:
+        with mock.patch.object(
+            engine, "inferences", _within(inferences, _GD_INFERENCE_BOUND)
+        ), mock.patch.object(
+            sys.modules[__name__], "resolve", _within(resolve, _GD_INFERENCE_BOUND)
+        ):
+            want = _ref_refute_sos_linear(
+                build(), budget, work_limit=engine._WORK_LIMIT, saturate_cap=engine._SATURATE_CAP
+            )
+    except _PastBound:
+        event("skipped: the reference passes the inference bound")
+        return
+    kept = _ref_without_pure(t.clauses)
+    goals = [c for c in kept if t.is_supported(c.id)]
+    if goals:
+        others = [c for c in kept if not t.is_supported(c.id)]
+        event(f"ground decision: {engine._ground_decision(others, goals)}")
+    got = refute(t, strategy=SOS_LINEAR, budget=budget)
+    event(f"halt: {got.halt_reason}")
+    assert _outcome(got) == _outcome(want)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_ground_model_decides_without_inferences(monkeypatch):
+    # Satisfiable and function-free, and no literal is pure: Bob is kind or
+    # round, Alan is not round, and nobody is kind.
+    t = TheorySet()
+    for text in ("kind(Bob) | round(Bob)", "-round(Alan)"):
+        t.add(parse_clause(text))
+    t.add(parse_clause("-kind(v1)"), supported=True)
+
+    def no_inferences(*args):
+        pytest.fail("inferences called")
+
+    monkeypatch.setattr(engine, "inferences", no_inferences)
+    loops = _counting(monkeypatch, "_given_clause_loop")
+    result = refute(t, strategy=SOS_LINEAR)
+    assert (result.refuted, result.steps_used, result.halt_reason) == (False, 0, HALT_NO_PAIR)
+    assert loops == []
+
+
+@pytest.mark.parametrize(
+    "theory, goal",
+    [
+        # a function term
+        (["p(f(a))", "-p(b) | r(b)"], "-r(v1) | p(v1)"),
+        # 5 constants and a binary predicate: 25 ground atoms
+        (["q(a,b) | q(c,d)"], "-q(v1,e)"),
+    ],
+)
+def test_sets_grounding_cannot_reach_take_the_loop(monkeypatch, theory, goal):
+    t = TheorySet()
+    for text in theory:
+        t.add(parse_clause(text))
+    t.add(parse_clause(goal), supported=True)
+    loops = _counting(monkeypatch, "_given_clause_loop")
+    assert engine._ground_decision(
+        [c for c in t.clauses if not t.is_supported(c.id)],
+        [c for c in t.clauses if t.is_supported(c.id)],
+    ) is None
+    result = refute(t, strategy=SOS_LINEAR)
+    assert result.halt_reason == HALT_NO_PAIR
+    assert len(loops) == 1
+
+
+def test_ground_model_answers_where_the_capped_loop_would_not():
+    # Satisfiable and function-free. With a cap of 1 the loop stops on its
+    # second candidate, and deepening within a budget of 1 would then end
+    # budget_exhausted; the ground model answers no_valid_pair, and so does
+    # the reference once its loop has stopped on the cap.
+    def build():
+        t = TheorySet()
+        for text in ("p(a)", "p(b)", "-r(c)"):
+            t.add(parse_clause(text))
+        t.add(parse_clause("-p(v1) | r(v1)"), supported=True)
+        return t
+
+    assert _precheck(build(), 1)[0] == HALT_BUDGET
+    with mock.patch.object(engine, "_SATURATE_CAP", 1):
+        got = refute(build(), strategy=SOS_LINEAR, budget=1)
+    want = _ref_refute_sos_linear(build(), 1, work_limit=engine._WORK_LIMIT, saturate_cap=1)
+    assert _outcome(got) == _outcome(want)
+    assert got.halt_reason == HALT_NO_PAIR
+
+
+def _chain_set(n=4):
+    # p0(a), -p_i(v1) | p_{i+1}(v1) for i < n, and the goal -p_n(a): refutable
+    # in n + 1 steps, function-free, and the theory has a model.
+    t = TheorySet()
+    t.add(parse_clause("p0(a)"))
+    for i in range(n):
+        t.add(parse_clause(f"-p{i}(v1) | p{i + 1}(v1)"))
+    t.add(parse_clause(f"-p{n}(a)"), supported=True)
+    return t
+
+
+def test_ground_refuted_set_runs_the_loop_only_for_the_fallback(monkeypatch):
+    loops = _counting(monkeypatch, "_given_clause_loop")
+    at_limit = refute(_chain_set(), strategy=SOS_LINEAR, budget=10)
+    assert (at_limit.refuted, at_limit.steps_used, loops) == (True, 5, [])
+    # Past a work limit of 2 the loop runs once, and its derivation answers.
+    with mock.patch.object(engine, "_WORK_LIMIT", 2):
+        got = refute(_chain_set(), strategy=SOS_LINEAR, budget=10)
+    assert len(loops) == 1
+    want = _ref_refute_sos_linear(
+        _chain_set(), 10, work_limit=2, saturate_cap=engine._SATURATE_CAP
+    )
+    assert _outcome(got) == _outcome(want)
+    _, _, derivation = _precheck(_chain_set(), engine._SATURATE_CAP)
+    assert got.refuted and got.steps_used == len(derivation) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import formulas_satisfiable
 
+import nlprover.normalize as normalize
 from nlprover.datagen import oracle_sat
 from nlprover.logic import Clause, Const, Func, Term, Var, canonicalize, clause_to_str, is_tautology
 from nlprover.normalize import (
@@ -384,6 +385,21 @@ def test_clause_form_memo_keeps_namer_indices():
         runs.append((_strs(to_clauses(f, namer)), _strs(to_clauses(f, namer)), namer.next_index))
     assert runs[0] == runs[1]
     assert runs[0][2] == 6 and runs[0][0] != runs[0][1]
+
+
+def test_clause_form_memo_without_a_namer_walks_the_formula_once(monkeypatch):
+    # Names start after the formula's own sk3; a memo hit finds that start
+    # without walking the formula again.
+    f = And(Atom("kind", (Const("sk3"),)), Exists(X, Atom("round", (X,))))
+    _clause_form.cache_clear()
+    cold = _strs(to_clauses(f))
+    assert cold == ["kind(sk3)", "round(sk4)"]
+
+    def no_walk(*args):
+        pytest.fail("formula walked for sk-names")
+
+    monkeypatch.setattr(normalize, "_formula_consts", no_walk)
+    assert _strs(to_clauses(f)) == cold
 
 
 def test_clause_form_memo_hands_out_fresh_lists():
