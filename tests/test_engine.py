@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import nlprover.engine as engine
 from nlprover.datagen import GenConfig, generate, oracle_sat
-from nlprover.herbrand import ORACLE_MAX_ATOMS, OracleOverflowError
 from nlprover.engine import (
     HALT_BUDGET,
     HALT_EMPTY,
@@ -36,6 +35,7 @@ from nlprover.engine import (
     refute,
     resolve,
 )
+from nlprover.herbrand import ORACLE_MAX_ATOMS, OracleOverflowError
 from nlprover.judge import judge, nl_renderer
 from nlprover.language import DEFAULT_LEXICON, to_sentence
 from nlprover.logic import (
