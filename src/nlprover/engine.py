@@ -44,7 +44,11 @@ reached.
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
 finds a given clause's partners through a (predicate, polarity) index
-instead of scanning every usable clause. In the same way a clause is
+instead of scanning every usable clause, and the deepening search finds a
+chain clause's input sides through the same kind of index. The deepening
+search also keeps each (chain clause, side) pair's inferences for the
+length of one call, since every level revisits the chains of the last
+one. In the same way a clause is
 tried as a subsumer of a candidate only when, for each (predicate,
 polarity), it has no more literals than the candidate.
 """
@@ -512,9 +516,14 @@ _WORK_LIMIT = 50_000
 _SATURATE_CAP = 20_000
 
 
+def _size_id(c: Clause) -> tuple[int, Optional[int]]:
+    return len(c.literals), c.id
+
+
 class _Frame(NamedTuple):
     """One clause on the deepening search's current chain."""
     clause: Clause
+    signs: frozenset  # the (predicate, polarity) pairs of its literals
     step: Optional[_Derivation]  # the step that derived it; None for the goal
     untried: Iterator[tuple[Clause, Clause]]  # (side, candidate) pairs left
 
@@ -528,10 +537,15 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     recovers a shortest-length chain, with every clause as a side.
     Past the work limit the loop's derivation answers instead, when it fits
     the budget; that derivation is a DAG, not a linear chain.
-    A chain clause's candidates are made one at a time, as the search tries
-    them, against its sides in (length, id) order. Only two units resolve to
-    the empty clause and factoring never empties one, so an empty inference,
-    when a clause has one, is its first candidate.
+    A chain clause's sides are taken in (length, id) order: the inputs,
+    sorted once and found through a (predicate, polarity) index, and the
+    ancestors, each only when it holds a literal the chain clause can clash
+    with, since no other side has an inference. The candidates are made
+    side by side as the search tries them, and each (chain clause, side)
+    pair's inferences are kept for the rest of the call, so a pair that a
+    later level or goal revisits is not resolved again. Only two units
+    resolve to the empty clause and factoring never empties one, so an
+    empty inference, when a clause has one, is its first candidate.
 
     Returns the halt reason, the length of the derivation found (0 when
     none was) and that derivation of the empty clause.
@@ -560,20 +574,55 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
         if halt in (HALT_SATURATED, HALT_NO_PAIR):
             return HALT_NO_PAIR, 0, []
 
-    inputs = tset.clauses
     # Every clause reached, by canonical form: the inputs, then the resolvents
     # numbered on in first-reach order over all levels and goals.
-    reached = {c.literals: c for c in inputs}
+    reached = {c.literals: c for c in tset.clauses}
+    # The inputs in (length, id) order, and (predicate, polarity) -> the
+    # ascending positions there of the inputs holding such a literal.
+    inputs = sorted(tset.clauses, key=_size_id)
+    index: dict[tuple[str, bool], list[int]] = {}
+    for pos, c in enumerate(inputs):
+        for key in {(l.pred, l.positive) for l in c.literals}:
+            index.setdefault(key, []).append(pos)
+    # (chain clause literals, side literals) -> the pair's inferences, which
+    # depend on the literals alone; a pair is resolved once per call.
+    memo: dict[tuple[tuple[Literal, ...], tuple[Literal, ...]], tuple[Clause, ...]] = {}
 
     def reach(res: Clause) -> Clause:
         new = Clause(res.literals, len(reached) + 1)
         return reached.setdefault(res.literals, new)
 
+    def candidates(clause: Clause, sides: list[Clause]) -> Iterator[tuple[Clause, Clause]]:
+        for s in sides:
+            key = (clause.literals, s.literals)
+            made = memo.get(key)
+            if made is None:
+                made = memo[key] = tuple(inferences(clause, s))
+            for r in made:
+                yield s, r
+
+    # chain clause literals -> its (predicate, polarity) pairs, the pairs it
+    # can clash with, and the inputs holding one of those, in (length, id) order
+    partners: dict[tuple[Literal, ...], tuple[frozenset, frozenset, list[Clause]]] = {}
+
     def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]) -> None:
-        """Put `clause` on the chain; its candidates are made as they are tried."""
-        ancestors = [f.clause for f in chain[1:]] + ([clause] if chain else [])
-        sides = sorted(inputs + ancestors, key=lambda c: (len(c.literals), c.id))
-        chain.append(_Frame(clause, step, ((s, r) for s in sides for r in inferences(clause, s))))
+        """Put `clause` on the chain, with its sides in (length, id) order:
+        the inputs and the ancestors (itself included, unless it is the goal)
+        that hold a literal it can clash with. The others resolve to nothing."""
+        got = partners.get(clause.literals)
+        if got is None:
+            signs = frozenset((l.pred, l.positive) for l in clause.literals)
+            wanted = frozenset((p, not positive) for p, positive in signs)
+            positions = sorted({p for k in wanted for p in index.get(k, ())})
+            got = partners[clause.literals] = (signs, wanted, [inputs[p] for p in positions])
+        signs, wanted, sides = got
+        clashing = [f.clause for f in chain[1:] if not wanted.isdisjoint(f.signs)]
+        if chain and not wanted.isdisjoint(signs):
+            clashing.append(clause)
+        if clashing:
+            # stable: an input stays ahead of its own copy on the chain
+            sides = sorted(sides + clashing, key=_size_id)
+        chain.append(_Frame(clause, signs, step, candidates(clause, sides)))
 
     work = 0
     for limit in range(1, budget + 1):

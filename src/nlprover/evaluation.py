@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import inferences
-from .judge import SATISFIABLE, UNKNOWN, refutation_target
+from .judge import SATISFIABLE, UNKNOWN, target_clauses
 from .language import DEFAULT_LEXICON, Lexicon
 from .logic import ClauseFormatError, canonical_key, parse_clause
 from .normalize import CnfBlowupError
@@ -57,28 +57,26 @@ def check_proof(rec: PredictionRecord) -> bool:
     right exactly when the gold label is the same. Otherwise every step must
     be a valid resolution step, every premise must come from the input
     clauses of the predicted label's refutation target (see
-    `judge.refutation_target`, parsed with the record's lexicon) or an
+    `judge.target_clauses`, parsed with the record's lexicon) or an
     earlier conclusion, and the proof must end in the empty clause.
     """
     if rec.predicted_label in (UNKNOWN, SATISFIABLE):
         return rec.gold_label == rec.predicted_label
     try:
-        target = refutation_target(rec.theory, rec.hypothesis, rec.predicted_label, rec.lexicon)
+        parts = target_clauses(rec.theory, rec.hypothesis, rec.predicted_label, rec.lexicon)
     except (ValueError, CnfBlowupError):
         # ParseError and UnknownWordError are ValueErrors
         return False
-    available = {c.literals for c in target.clauses}
+    available = {c.literals for part in parts for c in part}
     if not rec.predicted_proof:
         return False
     last = None
     for (p1, p2), concl in rec.predicted_proof:
+        # check_step parsed all three texts; parse_clause's memo answers these
         if not check_step((p1, p2), concl):
             return False
-        try:
-            keys = [canonical_key(parse_clause(p)) for p in (p1, p2)]
-            concl_key = canonical_key(parse_clause(concl))
-        except ClauseFormatError:
-            return False
+        keys = [canonical_key(parse_clause(p)) for p in (p1, p2)]
+        concl_key = canonical_key(parse_clause(concl))
         if any(k not in available for k in keys):
             return False
         available.add(concl_key)

@@ -58,6 +58,27 @@ def nl_renderer(lex: Lexicon) -> Callable[[Clause], str]:
     return render
 
 
+def target_clauses(
+    theory: Sequence[str],
+    hypothesis: str,
+    label: str,
+    lexicon: Lexicon,
+) -> tuple[list[Clause], list[Clause]]:
+    """The clauses a proof of `label` refutes, as (theory clauses, goals):
+    the goals are the hypothesis clauses for False, those of its negation
+    for True, and none for any other label (a rule-only refutation). They
+    come from one compilation, already canonical and free of tautologies,
+    and the hypothesis is parsed only when the label needs it. `lexicon`
+    parses the sentences. Raises ParseError on a sentence outside the
+    grammar and CnfBlowupError on an oversized clause form."""
+    formulas = [to_sentence(t, lexicon).formula for t in theory]
+    if label not in _PROOF_SIDE:
+        return compile_clauses(formulas)[0], []
+    h = to_sentence(hypothesis, lexicon).formula
+    theory_clauses, *goals = compile_clauses(formulas, h)
+    return theory_clauses, goals[_PROOF_SIDE[label]]
+
+
 def refutation_target(
     theory: Sequence[str],
     hypothesis: str,
@@ -65,18 +86,10 @@ def refutation_target(
     lexicon: Lexicon,
 ) -> TheorySet:
     """The clause set a proof of `label` refutes: T2 for True, T1 for False,
-    and the theory alone for any other label (a rule-only refutation). Only
-    that set is built, from one compilation, and the hypothesis is parsed
-    only when the label needs it. `lexicon` parses the sentences; a caller
-    that renders the set's clauses, as training-record extraction does,
-    renders them with `nl_renderer`. Raises ParseError on a sentence outside
-    the grammar and CnfBlowupError on an oversized clause form."""
-    formulas = [to_sentence(t, lexicon).formula for t in theory]
-    if label not in _PROOF_SIDE:
-        return theory_set(compile_clauses(formulas)[0])
-    h = to_sentence(hypothesis, lexicon).formula
-    theory_clauses, *goals = compile_clauses(formulas, h)
-    return theory_set(theory_clauses, goals[_PROOF_SIDE[label]])
+    and the theory alone for any other label, built from `target_clauses`.
+    A caller that renders the set's clauses, as training-record extraction
+    does, renders them with `nl_renderer`."""
+    return theory_set(*target_clauses(theory, hypothesis, label, lexicon))
 
 
 @dataclass

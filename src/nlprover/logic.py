@@ -458,7 +458,18 @@ def _split_args(s: str) -> list[str]:
     return parts
 
 
-def _parse_term(s: str) -> Term:
+# Most function applications a clause text may nest in one argument. The
+# grammar's terms nest one deep (a Skolem function of a variable), and a
+# derivation nests them only a few deeper; a few hundred deep would exhaust
+# the interpreter's recursion limit in parsing or unification.
+MAX_TERM_DEPTH = 64
+
+# Bound on the clause-text memo (a clause and its text, well under 1 KB an
+# entry): room for every premise and conclusion of many proofs.
+_PARSE_CACHE_SIZE = 1 << 14
+
+
+def _parse_term(s: str, depth: int) -> Term:
     s = s.strip()
     m = _NAME_RE.match(s)
     if not m:
@@ -469,7 +480,9 @@ def _parse_term(s: str) -> Term:
         return Var(name) if VAR_NAME.match(name) else Const(name)
     if not (rest.startswith("(") and rest.endswith(")")):
         raise ClauseFormatError(f"bad term {s!r}")
-    args = tuple(_parse_term(a) for a in _split_args(rest[1:-1]))
+    if depth >= MAX_TERM_DEPTH:
+        raise ClauseFormatError(f"term nested deeper than {MAX_TERM_DEPTH}: {s[:40]!r}")
+    args = tuple(_parse_term(a, depth + 1) for a in _split_args(rest[1:-1]))
     return Func(name, args)
 
 
@@ -484,13 +497,17 @@ def _parse_literal(s: str) -> Literal:
         raise ClauseFormatError(f"bad literal {s!r}")
     pred = m.group(0)
     inner = s[m.end() + 1 : -1]
-    args = tuple(_parse_term(a) for a in _split_args(inner)) if inner.strip() else ()
+    args = tuple(_parse_term(a, 0) for a in _split_args(inner)) if inner.strip() else ()
     return Literal(positive, pred, args)
 
 
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_clause(s: str) -> Clause:
     """Inverse of clause_to_str. Variables are exactly the names v1, v2, ...;
-    every other bare name is a constant."""
+    every other bare name is a constant. Raises ClauseFormatError on text
+    outside the format, terms nested past MAX_TERM_DEPTH included. The
+    result is memoized by text (a Clause is immutable); an error is raised
+    again on every call."""
     s = s.strip()
     if s == "[]":
         return Clause(())

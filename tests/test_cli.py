@@ -1,6 +1,13 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlprover.cli as cli
 from nlprover.cli import main
@@ -753,3 +760,131 @@ def test_zero_budget_and_count_are_accepted(capsys, tmp_path, theory_file):
         capsys, "prove", "--theory", theory_file, "--hypothesis", "Bob is kind.", "--budget", "0"
     )
     assert code == 0
+
+
+def _nested(depth):
+    return "f(" * depth + "a" + ")" * depth
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+@pytest.mark.parametrize("depth", [300, 3000])
+def test_deeply_nested_predicted_premise_counts_invalid(capsys, gold_and_preds, command, depth):
+    # Past the parser's term depth a premise is malformed clause text: the
+    # step is invalid, not a crash.
+    gold, preds = gold_and_preds
+    recs = [json.loads(l) for l in preds.read_text().splitlines()]
+    rec = next(r for r in recs if r["predicted_proof"])
+    rec["predicted_proof"][0]["premises_fol"][0] = f"p({_nested(depth)})"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    code, out, err = run(capsys, command, *_argv(command, gold, preds))
+    assert code == 0 and "Traceback" not in err
+    n = len(recs)
+    if command == "check":
+        assert f"{rec['id']}: invalid" in out and out.endswith(f"valid: {n - 1}/{n}\n")
+    else:
+        assert "EA: 1.0000" in out and f"FA: {(n - 1) / n:.4f}" in out
+
+
+# ---------------------------------------------------------------------------
+# The readers under generated damage: every command exits 0, 2 or 4.
+
+
+@cache
+def _fuzz_files() -> dict[str, bytes]:
+    """A generated gold file, `prove`'s predictions for it and a theory."""
+    with tempfile.TemporaryDirectory() as d:
+        gold = Path(d) / "gold.jsonl"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["gen", "--out", str(gold), "--count", "4", "--seed", "9"]) == 0
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["prove", "--instances", str(gold), "--jobs", "1", "--json"]) == 0
+        return {"gold": gold.read_bytes(), "preds": out.getvalue().encode(), "theory": WORKED_THEORY.encode()}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_CLAUSE_TEXT = st.one_of(
+    st.text(max_size=24),
+    st.integers(0, 3000).map(lambda d: f"p({_nested(d)})"),
+    st.sampled_from(
+        ["[]", "", "kind(", "p(x))", " | ", "-kind(Bob)", "kind(Bob) | -kind(Bob)", "p(sk1(v1))", "-(a)"]
+    ),
+)
+
+
+def _damage_record(data, rec) -> object:
+    """`rec` with one field replaced, or one clause text of a proof step."""
+    steps = rec.get("predicted_proof") or rec.get("gold_proof") if isinstance(rec, dict) else None
+    if steps and data.draw(st.booleans()):
+        step = steps[data.draw(st.integers(0, len(steps) - 1))]
+        field = data.draw(st.sampled_from(["premises_fol", "conclusion_fol", "premises_nl"]))
+        text = data.draw(_CLAUSE_TEXT)
+        if field.startswith("premises") and isinstance(step.get(field), list) and step[field]:
+            step[field][data.draw(st.integers(0, len(step[field]) - 1))] = text
+        else:
+            step[field] = text
+        return rec
+    if isinstance(rec, dict) and rec and data.draw(st.booleans()):
+        rec[data.draw(st.sampled_from(sorted(rec)))] = data.draw(_JSON)
+        return rec
+    return data.draw(_JSON)
+
+
+def _damage(data, raw: bytes, jsonl: bool) -> bytes:
+    lines = raw.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["record", "bytes", "truncate", "drop", "repeat"] if jsonl else
+                                    ["text", "bytes", "truncate", "drop", "repeat"]))
+    if how == "record" and lines[i].strip():
+        lines[i] = json.dumps(_damage_record(data, json.loads(lines[i]))).encode()
+    elif how == "text":
+        lines[i] = data.draw(st.text(max_size=40)).encode("utf-8", "surrogatepass")
+    elif how == "bytes":
+        lines[i] = data.draw(st.binary(max_size=24))
+    elif how == "truncate":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+    elif how == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return b"\n".join(lines)
+
+
+_FUZZ_COMMANDS = {
+    "gold": [
+        ["prove", "--instances", "G", "--jobs", "1"],
+        ["check", "--proofs", "P", "--instances", "G"],
+        ["eval", "--predictions", "P", "--gold", "G", "--json"],
+    ],
+    "preds": [
+        ["check", "--proofs", "P", "--instances", "G", "--json"],
+        ["eval", "--predictions", "P", "--gold", "G"],
+    ],
+    "theory": [
+        ["prove", "--theory", "T", "--hypothesis", "Bob is not kind."],
+        ["sat", "--theory", "T", "--json"],
+    ],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_COMMANDS)), st.data())
+def test_damaged_inputs_exit_0_2_or_4_without_raising(which, data):
+    files = dict(_fuzz_files())
+    files[which] = _damage(data, files[which], jsonl=which != "theory")
+    with tempfile.TemporaryDirectory() as d:
+        paths = {}
+        for name, flag in (("gold", "G"), ("preds", "P"), ("theory", "T")):
+            paths[flag] = Path(d) / name
+            paths[flag].write_bytes(files[name])
+        for argv in _FUZZ_COMMANDS[which]:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([str(paths[a]) if a in paths else a for a in argv])
+            assert code in (0, 2, 4), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()

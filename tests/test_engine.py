@@ -1203,6 +1203,23 @@ def test_ground_refuted_set_runs_the_loop_only_for_the_fallback(monkeypatch):
     assert got.refuted and got.steps_used == len(derivation) > 0
 
 
+def test_deepening_resolves_each_clashing_pair_once(monkeypatch):
+    # A ground model decides the 5-step chain, so every inference is the
+    # deepening search's. It deepens five times over the same chains, yet
+    # resolves each (chain clause, side) pair once, and only a pair holding
+    # some predicate with opposite signs.
+    t = _chain_set()
+    t.add(parse_clause("q(a) | -p2(b)"))
+    calls = _counting(monkeypatch, "inferences")
+    result = refute(t, strategy=SOS_LINEAR, budget=10)
+    assert (result.refuted, result.steps_used) == (True, 5)
+    pairs = [(a.literals, b.literals) for a, b in calls]
+    assert pairs and len(pairs) == len(set(pairs))
+    for a, b in calls:
+        signs = {(l.pred, l.positive) for l in b.literals}
+        assert any((l.pred, not l.positive) in signs for l in a.literals), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # Forward subsumption in the given-clause loop.
 

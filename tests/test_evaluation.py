@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import nlprover.evaluation as evaluation
 from nlprover.datagen import GenConfig, generate, generate_nlsat
 from nlprover.evaluation import (
     DegenerateContrastError,
@@ -14,7 +15,7 @@ from nlprover.evaluation import (
     score,
     vce_loss,
 )
-from nlprover.judge import SATISFIABLE, UNSATISFIABLE, judge
+from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNSATISFIABLE, judge, refutation_target
 from nlprover.language import to_sentence
 
 RULE = "-kind(v1) | -round(v1) | rough(v1)"
@@ -71,6 +72,12 @@ def test_check_step_accepts_factored_resolvent():
 def test_check_step_malformed_counts_invalid():
     assert not check_step(("kind(", "kind(Bob)"), "[]")
     assert not check_step(("kind(Bob)", "-kind(Bob)"), "not a clause")
+    # Nested this deep, a term would exhaust the recursion limit in
+    # unification (300) or in the parser (3,000).
+    for depth in (300, 3000):
+        deep = "f(" * depth + "a" + ")" * depth
+        assert not check_step((f"p({deep})", f"-p({deep})"), "[]")
+        assert not check_step((f"p({deep}) | q(a)", "-q(a)"), f"p({deep})")
 
 
 def test_check_proof_worked_example():
@@ -167,6 +174,45 @@ def test_score_full_accuracy_never_exceeds_entailment():
 def test_score_rejects_empty_input():
     with pytest.raises(ValueError):
         score([])
+
+
+_TARGET_STREAMS = {
+    "default": (lambda: generate(GenConfig(seed=5)), {TRUE, FALSE}),
+    "existential": (
+        lambda: generate(GenConfig(seed=5, n_entities=2, n_attributes=4, allow_existential=True)),
+        {TRUE, FALSE},
+    ),
+    "nlsat": (
+        lambda: generate_nlsat(GenConfig(seed=5, n_attributes=8, target_depth_range=(1, 6)), 0.5),
+        {UNSATISFIABLE},
+    ),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_TARGET_STREAMS))
+def test_check_proof_reads_the_targets_clauses(monkeypatch, stream):
+    # check_proof takes the premises it accepts from the target's compiled
+    # clauses, with no TheorySet built: their keys are the set's keys.
+    made = []
+    real = evaluation.target_clauses
+    monkeypatch.setattr(evaluation, "target_clauses", lambda *a: made.append(real(*a)) or made[-1])
+    draw, labels = _TARGET_STREAMS[stream]
+    seen = set()
+    for inst in islice(draw(), 12):
+        if not inst.gold_proof:
+            continue
+        lex = inst.lexicon()
+        gold = [(s.premises_fol, s.conclusion_fol) for s in inst.gold_proof]
+        made.clear()
+        rec = PredictionRecord(
+            inst.id, inst.theory, inst.hypothesis, inst.label, inst.label, gold, lex
+        )
+        assert check_proof(rec)
+        [(theory, goals)] = made
+        target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+        assert {c.literals for c in theory + goals} == {c.literals for c in target.clauses}
+        seen.add(inst.label)
+    assert seen == labels
 
 
 def test_engine_verdicts_score_perfectly():

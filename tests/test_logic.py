@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from nlprover.logic import (
+    MAX_TERM_DEPTH,
     Clause,
     ClauseFormatError,
     Const,
@@ -176,10 +177,34 @@ def test_clause_serialization_round_trip():
     assert clause_to_str(canonicalize(back)) == "-q(Alan) | p(f(v1,Bob))"
 
 
+def _nested(depth):
+    return "f(" * depth + "a" + ")" * depth
+
+
 def test_parse_clause_rejects_garbage():
-    for bad in ("", "kind Bob", "kind(", "p(x))", "|"):
+    # A term nested past MAX_TERM_DEPTH would exhaust the recursion limit in
+    # the parser or in unification.
+    assert parse_clause(f"p({_nested(MAX_TERM_DEPTH)})").literals[0].args[0].name == "f"
+    deep = [f"-q(b) | p({_nested(d)})" for d in (MAX_TERM_DEPTH + 1, 300, 3000)]
+    for bad in ("", "kind Bob", "kind(", "p(x))", "|", *deep):
         with pytest.raises(ClauseFormatError):
             parse_clause(bad)
+
+
+def test_parse_memo_is_bounded_and_never_stores_an_error():
+    assert parse_clause.cache_info().maxsize is not None
+    parse_clause.cache_clear()
+    for bad in ("kind(", f"p({_nested(MAX_TERM_DEPTH + 1)})"):
+        for _ in range(3):
+            with pytest.raises(ClauseFormatError):
+                parse_clause(bad)
+    assert parse_clause.cache_info().currsize == 0
+    for text in ("-kind(v1) | -round(v1) | rough(v1)", "p(f(v1,Bob)) | -q(Alan)", "[]"):
+        first, again = parse_clause(text), parse_clause(text)
+        fresh = parse_clause.__wrapped__(text)
+        assert again is first
+        assert (first.literals, first.id) == (fresh.literals, fresh.id)
+    assert parse_clause.cache_info().hits == 3
 
 
 def test_tautology_detection():
