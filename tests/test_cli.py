@@ -791,7 +791,8 @@ def test_deeply_nested_predicted_premise_counts_invalid(capsys, gold_and_preds, 
 
 @cache
 def _fuzz_files() -> dict[str, bytes]:
-    """A generated gold file, `prove`'s predictions for it and a theory."""
+    """A generated gold file, `prove`'s predictions for it, a theory and a
+    lexicon."""
     with tempfile.TemporaryDirectory() as d:
         gold = Path(d) / "gold.jsonl"
         out = io.StringIO()
@@ -800,7 +801,12 @@ def _fuzz_files() -> dict[str, bytes]:
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["prove", "--instances", str(gold), "--jobs", "1", "--json"]) == 0
-        return {"gold": gold.read_bytes(), "preds": out.getvalue().encode(), "theory": WORKED_THEORY.encode()}
+        return {
+            "gold": gold.read_bytes(),
+            "preds": out.getvalue().encode(),
+            "theory": WORKED_THEORY.encode(),
+            "lexicon": b"[entities]\nBob\n[attributes]\nkind\nround\nrough\n",
+        }
 
 
 _JSON = st.recursive(
@@ -819,7 +825,7 @@ _CLAUSE_TEXT = st.one_of(
 
 def _damage_record(data, rec) -> object:
     """`rec` with one field replaced, or one clause text of a proof step."""
-    steps = rec.get("predicted_proof") or rec.get("gold_proof") if isinstance(rec, dict) else None
+    steps = (rec.get("predicted_proof") or rec.get("gold_proof")) if isinstance(rec, dict) else None
     if steps and data.draw(st.booleans()):
         step = steps[data.draw(st.integers(0, len(steps) - 1))]
         field = data.draw(st.sampled_from(["premises_fol", "conclusion_fol", "premises_nl"]))
@@ -838,8 +844,7 @@ def _damage_record(data, rec) -> object:
 def _damage(data, raw: bytes, jsonl: bool) -> bytes:
     lines = raw.split(b"\n")
     i = data.draw(st.integers(0, len(lines) - 1))
-    how = data.draw(st.sampled_from(["record", "bytes", "truncate", "drop", "repeat"] if jsonl else
-                                    ["text", "bytes", "truncate", "drop", "repeat"]))
+    how = data.draw(st.sampled_from(["record" if jsonl else "text", "bytes", "truncate", "drop", "repeat"]))
     if how == "record" and lines[i].strip():
         lines[i] = json.dumps(_damage_record(data, json.loads(lines[i]))).encode()
     elif how == "text":
@@ -869,6 +874,10 @@ _FUZZ_COMMANDS = {
         ["prove", "--theory", "T", "--hypothesis", "Bob is not kind."],
         ["sat", "--theory", "T", "--json"],
     ],
+    "lexicon": [
+        ["prove", "--theory", "T", "--hypothesis", "Bob is not kind.", "--lexicon", "L"],
+        ["sat", "--theory", "T", "--lexicon", "L"],
+    ],
 }
 
 
@@ -876,10 +885,10 @@ _FUZZ_COMMANDS = {
 @given(st.sampled_from(sorted(_FUZZ_COMMANDS)), st.data())
 def test_damaged_inputs_exit_0_2_or_4_without_raising(which, data):
     files = dict(_fuzz_files())
-    files[which] = _damage(data, files[which], jsonl=which != "theory")
+    files[which] = _damage(data, files[which], jsonl=which in ("gold", "preds"))
     with tempfile.TemporaryDirectory() as d:
         paths = {}
-        for name, flag in (("gold", "G"), ("preds", "P"), ("theory", "T")):
+        for name, flag in (("gold", "G"), ("preds", "P"), ("theory", "T"), ("lexicon", "L")):
             paths[flag] = Path(d) / name
             paths[flag].write_bytes(files[name])
         for argv in _FUZZ_COMMANDS[which]:
