@@ -134,6 +134,10 @@ class TheorySet:
     def is_supported(self, cid: int) -> bool:
         return cid in self.supported
 
+    def copy(self) -> "TheorySet":
+        """A set holding the same clauses, to be added to apart from this one."""
+        return TheorySet(list(self.clauses), set(self.supported), dict(self._index))
+
 
 # ---------------------------------------------------------------------------
 # Inference rules

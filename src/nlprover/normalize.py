@@ -317,12 +317,14 @@ def build_theory_sets(nlt: Iterable[Formula], hypothesis: Formula):
 
     T1 holds the theory plus the hypothesis, T2 the theory plus its negation.
     Theory clauses are normalized once with a shared Skolem namer and reused
-    by both sets, so sk-names line up across the two proofs. The goal-side
-    clauses are marked supported in each set; they are the support set for
-    the goal-directed search.
+    by both sets, so sk-names line up across the two proofs; the theory part
+    is inserted once and copied. The goal-side clauses are marked supported
+    in each set; they are the support set for the goal-directed search.
     """
     theory_clauses, h_clauses, neg_clauses = compile_clauses(nlt, hypothesis)
-    return (
-        theory_set(theory_clauses, h_clauses),
-        theory_set(theory_clauses, neg_clauses),
-    )
+    t1 = theory_set(theory_clauses)
+    t2 = t1.copy()
+    for tset, goals in ((t1, h_clauses), (t2, neg_clauses)):
+        for c in goals:
+            tset.add(c, supported=True)
+    return t1, t2

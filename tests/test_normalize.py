@@ -25,9 +25,11 @@ from nlprover.normalize import (
     _clause_form,
     _distribute,
     build_theory_sets,
+    compile_clauses,
     free_vars,
     negate,
     nnf,
+    theory_set,
     to_clauses,
 )
 
@@ -156,6 +158,18 @@ def test_build_theory_sets_minimal_case():
     # the hypothesis clause collapsed into the theory clause in T1 but keeps
     # its support mark there
     assert t1.is_supported(t1.clauses[0].id)
+
+
+def test_build_theory_sets_equal_sets_built_apart():
+    # T1 and T2 start from one copied theory part, and neither sees the
+    # other's goals.
+    nlt = [ForAll(X, Or(Not(Atom("kind", (X,))), Atom("rough", (X,)))), Atom("kind", (BOB,))]
+    h = Atom("rough", (BOB,))
+    theory, h_clauses, neg_clauses = compile_clauses(nlt, h)
+    for got, goals in zip(build_theory_sets(nlt, h), (h_clauses, neg_clauses)):
+        want = theory_set(theory, goals)
+        assert [(c.literals, c.id) for c in got.clauses] == [(c.literals, c.id) for c in want.clauses]
+        assert (got.supported, got._index) == (want.supported, want._index)
 
 
 def test_negated_hypothesis_lands_in_t2():
