@@ -48,9 +48,9 @@ instead of scanning every usable clause, and the deepening search finds a
 chain clause's input sides through the same kind of index. The deepening
 search also keeps each (chain clause, side) pair's inferences for the
 length of one call, since every level revisits the chains of the last
-one. In the same way a clause is
-tried as a subsumer of a candidate only when, for each (predicate,
-polarity), it has no more literals than the candidate.
+one. In the same way a clause is tried as a subsumer of a candidate only
+when, for each (predicate, polarity), it has no more literals than the
+candidate.
 """
 
 from __future__ import annotations
