@@ -4,25 +4,15 @@ label.
 
 The oracle grounds each clause set over its Herbrand domain (the constants
 that occur, plus one witness constant when none do) and decides
-satisfiability by exhaustive assignment search with unit propagation
-(`herbrand`). The engine's sos-linear pre-check decides function-free sets
-with the same grounding and search before it resolves anything, so the
-oracle is no longer a decision path wholly apart from the engine. Its
-independence as an arbiter rests on tests: the pre-check's decisions are
-compared with a resolution-only reference search, and the grounding and the
-search with the earlier term-building grounding and a clause-copying DPLL,
-kept verbatim in the tests.
-
-A theory's constants and predicates are scanned once, and its grounding
-over each domain is kept in a bounded memo, so the checks that add a
-hypothesis or its negation to the same theory scan and ground only what
-they add, numbering new atoms after the theory's. The memo entry also keeps
-the theory's propagated state, which every check starts from, and a few
-models found by earlier checks. A check whose added clauses hold in a
-stored model (with the atoms the theory lacks set false) is satisfiable,
-since that assignment satisfies the whole list; every other check is
-searched in full. The search is still exhaustive: "unsatisfiable" means
-that no assignment works.
+satisfiability by exhaustive assignment search with unit propagation: it
+asks `herbrand.decide`, the question the engine's sos-linear pre-check asks
+before it resolves anything, so the oracle is no longer a decision path
+wholly apart from the engine, and the two share the memo of theory
+groundings and stored models described there. Its independence as an
+arbiter rests on tests: the pre-check's decisions are compared with a
+resolution-only reference search, and the grounding and the search with the
+earlier term-building grounding and a clause-copying DPLL, kept verbatim in
+the tests.
 """
 
 from __future__ import annotations
@@ -31,21 +21,12 @@ from __future__ import annotations
 # importing the package does not load it.
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .engine import DEFAULT_BUDGET, HALT_BUDGET, ProofStep
-from .herbrand import (
-    ORACLE_MAX_ATOMS,
-    OracleOverflowError,
-    _domain,
-    _holds,
-    _scan,
-    _TheoryGrounding,
-)
+from .herbrand import ORACLE_MAX_ATOMS, OracleOverflowError, decide
 from .judge import (
     FALSE,
     SATISFIABLE,
@@ -58,7 +39,7 @@ from .judge import (
     refutation_target,
 )
 from .language import Lexicon, Sentence, read_utf8, to_sentence
-from .logic import Clause, Literal, clause_to_str
+from .logic import Clause, clause_to_str
 from .normalize import Formula, compile_clauses
 
 _GOLD_LABELS = (TRUE, FALSE, UNKNOWN, SATISFIABLE, UNSATISFIABLE)
@@ -90,113 +71,10 @@ class GenerationStalledError(Exception):
 # Model-enumeration oracle (grounding and SAT core in herbrand)
 
 
-# Models kept per (theory, domain). generate() puts up to 33 satisfiability
-# questions to one theory (oracle_sat, then two per candidate hypothesis).
-# Over 300 gen-default instances a store of 8 models answered 2,010 of 4,118
-# questions without search, one of 32 models 2,014 and one of 1 model 1,130.
-_MODEL_STORE_SIZE = 8
-
-
-class _StoredGrounding(_TheoryGrounding):
-    """A theory grounding with the models that earlier checks found, each
-    cut down to the theory's atoms (`mask`)."""
-
-    __slots__ = ("mask", "models")
-
-    def __init__(self, theory: tuple[tuple[Literal, ...], ...], domain: tuple[str, ...]):
-        super().__init__(theory, domain)
-        self.mask = (1 << (len(self.atoms) + 1)) - 2
-        self.models: deque[int] = deque(maxlen=_MODEL_STORE_SIZE)
-
-
-# Domains kept per theory. generate() asks about a theory over its own
-# constants, and over one more for each candidate hypothesis that names an
-# entity or an sk-constant the theory lacks: at most 8 domains (its own, one
-# per name of the six-name pool, and one for an existential hypothesis).
-_DOMAINS_PER_THEORY = 8
-
-
-class _Theory:
-    """A theory's constants in first-occurrence order and its (predicate,
-    arity) pairs, scanned once, and its grounding over each domain a check
-    has needed, up to _DOMAINS_PER_THEORY of them, oldest dropped first."""
-
-    __slots__ = ("literals", "consts", "preds", "groundings")
-
-    def __init__(self, theory: tuple[tuple[Literal, ...], ...]):
-        self.literals = theory
-        self.consts, self.preds = _scan(theory)
-        self.groundings: dict[tuple[str, ...], _StoredGrounding] = {}
-
-    def over(self, domain: tuple[str, ...]) -> _StoredGrounding:
-        grounding = self.groundings.get(domain)
-        if grounding is None:
-            if len(self.groundings) == _DOMAINS_PER_THEORY:
-                del self.groundings[next(iter(self.groundings))]
-            grounding = self.groundings[domain] = _StoredGrounding(self.literals, domain)
-        return grounding
-
-
-# One entry per theory: its scan and up to _DOMAINS_PER_THEORY groundings,
-# each with its atom numbers, ground clauses, propagated state and up to
-# _MODEL_STORE_SIZE models, about 13 KB a grounding for a default-size theory
-# at the 24-atom cap. generate() makes at most 17 oracle calls on one theory
-# in a row (oracle_sat, then oracle_entail per candidate hypothesis), so a
-# small bound keeps every hit, and with it the models those calls store.
-_GROUND_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_GROUND_CACHE_SIZE)
-def _ground_theory(theory: tuple[tuple[Literal, ...], ...]) -> _Theory:
-    return _Theory(theory)
-
-
-def _ground(
-    theory: tuple[tuple[Literal, ...], ...],
-    extra: Iterable[tuple[Literal, ...]],
-    max_atoms: int,
-) -> tuple[_StoredGrounding, list[tuple[int, int]]]:
-    """The ground clauses of `theory + extra` over their Herbrand domain (the
-    constants, or the witness c0 when there are none): the theory's memoized
-    grounding and the instances of `extra` that it lacks. Atoms are numbered
-    exactly as when the whole list is ground at once. Only `extra` is
-    scanned; the theory's scan is memoized with its groundings."""
-    entry = _ground_theory(theory)
-    extra = list(extra)
-    consts, preds = _scan(extra)
-    domain = _domain({**entry.consts, **consts}, {**entry.preds, **preds}, max_atoms)
-    grounding = entry.over(domain)
-    return grounding, grounding.instances(extra)
-
-
-def _satisfiable(
-    theory: tuple[tuple[Literal, ...], ...],
-    extra: Iterable[tuple[Literal, ...]],
-) -> bool:
-    """Is `theory + extra` satisfiable? A stored model answers when it fits;
-    otherwise the search starts from the theory's propagated state, and the
-    model it finds is stored."""
-    grounding, ground = _ground(theory, extra, ORACLE_MAX_ATOMS)
-    if grounding.base is None:
-        return False
-    # A stored model, with every atom the theory lacks set false, is a full
-    # assignment that satisfies the theory; if it satisfies the added
-    # clauses too, the whole list is satisfiable.
-    if any(_holds(ground, m) for m in grounding.models):
-        return True
-    model = grounding.model(ground)
-    if model is None:
-        return False
-    model &= grounding.mask
-    if model not in grounding.models:
-        grounding.models.append(model)
-    return True
-
-
 def oracle_sat(clauses: Iterable[Clause]) -> bool:
     """Satisfiability by exhaustive search over ground-atom assignments.
     Raises OracleOverflowError past ORACLE_MAX_ATOMS ground atoms."""
-    return _satisfiable(tuple(c.literals for c in clauses), ())
+    return bool(decide(clauses))
 
 
 def oracle_entail(theory: Iterable[Union[Formula, Clause]], hypothesis: Formula) -> str:
@@ -212,15 +90,15 @@ def oracle_entail(theory: Iterable[Union[Formula, Clause]], hypothesis: Formula)
     theory has no model.
     """
     theory, h_clauses, neg_clauses = compile_clauses(theory, hypothesis)
-    key = tuple(c.literals for c in theory)
-    sat_with_neg = _satisfiable(key, (c.literals for c in neg_clauses))
-    sat_with_h = _satisfiable(key, (c.literals for c in h_clauses))
+    sat_with_neg = decide(theory, neg_clauses)
+    sat_with_h = decide(theory, h_clauses)
     if sat_with_h and sat_with_neg:
         return UNKNOWN
     if sat_with_h:
         return TRUE
     if sat_with_neg:
         return FALSE
+    # Neither side has a model, so the theory alone has none.
     raise InconsistentTheoryError("theory is unsatisfiable on its own")
 
 

@@ -15,11 +15,13 @@ Otter moves it into the set of support the same way).
   since no refutation can use one; when no goal is left, the set is not
   refutable. A ground model decides a remaining set that is function-free
   and has at most ORACLE_MAX_ATOMS ground atoms over its Herbrand domain,
-  when its non-goal clauses have a model (`herbrand`): a model of the whole
-  set means no refutation, and none means the goals reach the empty
-  clause, since set of support is complete when the other clauses are
-  satisfiable. Saturation decides every other set: the remaining goals are
-  queued, the other remaining clauses start usable, and the loop runs until
+  when its non-goal clauses have a model (`herbrand.decide`, the question
+  the datagen oracle asks, through the same memo of groundings and stored
+  models): a model of the whole set means no refutation, and none means
+  the goals reach the empty clause, since set of support is complete when
+  the other clauses are satisfiable. Saturation decides every other set:
+  the remaining goals are queued, the other remaining clauses start
+  usable, and the loop runs until
   it reaches the empty clause or saturates. When the set may be refutable,
   an iterative-deepening search recovers a linear chain: the first premise
   chain starts at a goal clause, every later step keeps the previous
@@ -60,14 +62,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .herbrand import (
-    ORACLE_MAX_ATOMS,
-    OracleOverflowError,
-    _domain,
-    _holds,
-    _scan,
-    _TheoryGrounding,
-)
+from .herbrand import OracleOverflowError, decide
 from .logic import (
     Clause,
     Literal,
@@ -481,18 +476,10 @@ def _ground_decision(theory: list[Clause], goals: list[Clause]) -> Optional[bool
     so False means the goals reach the empty clause. None otherwise: the
     set holds a function term or has more than ORACLE_MAX_ATOMS ground
     atoms over its Herbrand domain, or `theory` has no model."""
-    theory_literals = [c.literals for c in theory]
-    goal_literals = [c.literals for c in goals]
     try:
-        domain = _domain(*_scan(theory_literals + goal_literals), ORACLE_MAX_ATOMS)
+        return decide(theory, goals)
     except OracleOverflowError:
         return None
-    grounding = _TheoryGrounding(theory_literals, domain)
-    model = grounding.model()
-    if model is None:
-        return None
-    ground = grounding.instances(goal_literals)
-    return _holds(ground, model) or grounding.model(ground) is not None
 
 
 def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:

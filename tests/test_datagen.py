@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlprover.datagen as datagen
+import nlprover.engine as engine
 from nlprover.datagen import (
     GenConfig,
     GenerationError,
     GenerationStalledError,
     InconsistentTheoryError,
     OracleOverflowError,
-    _MODEL_STORE_SIZE,
-    _ground,
-    _ground_theory,
     _render_rule,
     _rule_key,
     extract_training_samples,
@@ -28,7 +26,7 @@ from nlprover.datagen import (
     oracle_sat,
 )
 from nlprover.engine import HALT_BUDGET, HALT_EMPTY, HALT_NO_PAIR
-from nlprover.herbrand import _solve
+from nlprover.herbrand import _MODEL_STORE_SIZE, _ground, _ground_theory, _solve
 from nlprover.judge import (
     FALSE,
     SATISFIABLE,
@@ -549,6 +547,35 @@ def test_entailment_with_stored_models_matches_fresh_solves(case):
     # that the first and the ones before it stored.
     for h in hypotheses + hypotheses:
         assert _entail_or_error(theory, h) == _fresh_entail(theory, h)
+
+
+def _fresh_decision(theory, goals, cap=24):
+    """engine._ground_decision's answer from fresh solves: whether theory +
+    goals has a model, or None when the theory alone has none."""
+    if ref_dpll(ref_ground(theory + goals, cap)):
+        return True
+    return False if ref_dpll(ref_ground(theory, cap)) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entailment_cases(), st.booleans())
+def test_engine_and_oracle_questions_share_one_store(case, engine_first):
+    theory, hypotheses = case
+    _ground_theory.cache_clear()
+    # The engine's questions use the oracle's compiled theory as their
+    # theory, so both meet the same memo entry and the models stored there.
+    questions = []
+    for h in hypotheses:
+        compiled, h_clauses, neg_clauses = compile_clauses(theory, h)
+        decisions = [
+            (lambda g=g: engine._ground_decision(compiled, g), lambda g=g: _fresh_decision(compiled, g))
+            for g in (neg_clauses, h_clauses)
+        ]
+        entail = (lambda h=h: _entail_or_error(theory, h), lambda h=h: _fresh_entail(theory, h))
+        questions += [*decisions, entail] if engine_first else [entail, *decisions]
+    # The first pass starts from a cleared memo, the second meets a warm one.
+    for ask, fresh in questions + questions:
+        assert ask() == fresh()
 
 
 def test_model_store_is_bounded():

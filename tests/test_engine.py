@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import nlprover.engine as engine
-from nlprover.datagen import GenConfig, generate, oracle_sat
+from nlprover.datagen import GenConfig, generate, oracle_entail, oracle_sat
 from nlprover.engine import (
     HALT_BUDGET,
     HALT_EMPTY,
@@ -35,7 +35,7 @@ from nlprover.engine import (
     refute,
     resolve,
 )
-from nlprover.herbrand import ORACLE_MAX_ATOMS, OracleOverflowError
+from nlprover.herbrand import ORACLE_MAX_ATOMS, OracleOverflowError, _ground_theory
 from nlprover.judge import judge, nl_renderer
 from nlprover.language import DEFAULT_LEXICON, to_sentence
 from nlprover.logic import (
@@ -338,6 +338,30 @@ def test_proof_text_with_ids_is_pinned(strategy):
         lines = [" ".join(map(str, head)), *format_proof(v.proof)]
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == _PROOF_TEXT_SHA256[strategy]
+
+
+def test_verdicts_do_not_depend_on_the_memo_history():
+    # The pre-check's ground decisions go through herbrand's memo of
+    # theory groundings and stored models, which the oracle shares. A
+    # verdict, its proof ids included, must not depend on what the memo
+    # holds: the second pass runs in reverse order, after the oracle has
+    # asked about the same theories.
+    instances = list(islice(generate(GenConfig(seed=5)), 60))
+    judged = []
+    for inst in instances:
+        lex = inst.lexicon()
+        judged.append(([to_sentence(t, lex) for t in inst.theory], to_sentence(inst.hypothesis, lex), lex))
+
+    def verdict(sentences, hyp, lex):
+        v = judge(sentences, hyp, lexicon=lex)
+        return v.label, v.steps_t1, v.steps_t2, v.halt_t1, v.halt_t2, format_proof(v.proof)
+
+    _ground_theory.cache_clear()
+    first = [verdict(*x) for x in judged]
+    for sentences, hyp, _ in judged:
+        oracle_entail([s.formula for s in sentences], hyp.formula)
+    second = [verdict(*x) for x in reversed(judged)][::-1]
+    assert second == first
 
 
 def _clause_formula(c):
