@@ -19,11 +19,10 @@ from .datagen import (
     GenConfig,
     GenerationError,
     GenerationStalledError,
-    Instance,
     extract_training_samples,
     generate,
     generate_nlsat,
-    instance_from_dict,
+    read_jsonl,
     read_records,
     write_jsonl,
     write_records,
@@ -57,15 +56,13 @@ def _load_lexicon(path: str | None) -> Lexicon:
         raise InputError(f"lexicon: {e}") from e
 
 
-def _read_records(path: str, decode, kind: str) -> dict:
+def _read_input(read, *args):
+    """`read(*args)` of a datagen file reader, an unreadable or malformed
+    file raising InputError."""
     try:
-        return read_records(path, decode, kind)
+        return read(*args)
     except (OSError, ValueError) as e:
         raise InputError(str(e)) from e
-
-
-def _read_instances(path: str) -> list[Instance]:
-    return list(_read_records(path, instance_from_dict, "an instance").values())
 
 
 def _prediction_from_dict(d: dict) -> tuple[str, list[tuple[tuple[str, str], str]]]:
@@ -161,7 +158,7 @@ def cmd_prove(args) -> int:
         if unread:
             print(f"prove: config error: {', '.join(unread)} not read with --instances", file=sys.stderr)
             return EXIT_CONFIG
-        instances = _read_instances(args.instances)
+        instances = _read_input(read_jsonl, args.instances)
         work = [(inst, args.budget, strategy) for inst in instances]
         # The pool forks every worker up front: no more than work or cores.
         cores = os.cpu_count() or 1
@@ -272,9 +269,9 @@ def cmd_gen(args) -> int:
 
 
 def _records_from_files(pred_path, gold_path) -> list[PredictionRecord]:
-    preds = _read_records(pred_path, _prediction_from_dict, "a prediction")
+    preds = _read_input(read_records, pred_path, _prediction_from_dict, "a prediction")
     records = []
-    for inst in _read_instances(gold_path):
+    for inst in _read_input(read_jsonl, gold_path):
         if inst.id not in preds:
             raise InputError(f"no prediction for instance {inst.id}")
         predicted_label, proof = preds[inst.id]

@@ -36,7 +36,7 @@ from .judge import (
     check_sat,
     judge,
     nl_renderer,
-    refutation_target,
+    target_clauses,
 )
 from .language import Lexicon, Sentence, read_utf8, to_sentence
 from .logic import Clause, clause_to_str
@@ -616,9 +616,10 @@ def extract_training_samples(inst: Instance) -> list[dict]:
     if not inst.gold_proof:
         return []
     lex = inst.lexicon()
-    target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+    theory, goals = target_clauses(inst.theory, inst.hypothesis, inst.label, lex)
     render = nl_renderer(lex)
-    context = [render(c) for c in target.clauses]
+    # The refuted set's clauses in insertion order, each literal tuple once.
+    context = [render(c) for c in dict.fromkeys(theory + goals)]
     records: list[dict] = []
     for step in inst.gold_proof:
         ti, tj = step.premises_nl

@@ -18,7 +18,6 @@ from .engine import (
     UNRESTRICTED,
     ProofStep,
     RefutationResult,
-    TheorySet,
     refute,
 )
 from .language import (
@@ -35,7 +34,6 @@ from .normalize import build_theory_sets, compile_clauses, theory_set
 TRUE = "True"
 FALSE = "False"
 UNKNOWN = "Unknown"
-LABELS = (TRUE, FALSE, UNKNOWN)
 
 SATISFIABLE = "Satisfiable"
 UNSATISFIABLE = "Unsatisfiable"
@@ -77,19 +75,6 @@ def target_clauses(
     h = to_sentence(hypothesis, lexicon).formula
     theory_clauses, *goals = compile_clauses(formulas, h)
     return theory_clauses, goals[_PROOF_SIDE[label]]
-
-
-def refutation_target(
-    theory: Sequence[str],
-    hypothesis: str,
-    label: str,
-    lexicon: Lexicon,
-) -> TheorySet:
-    """The clause set a proof of `label` refutes: T2 for True, T1 for False,
-    and the theory alone for any other label, built from `target_clauses`.
-    A caller that renders the set's clauses, as training-record extraction
-    does, renders them with `nl_renderer`."""
-    return theory_set(*target_clauses(theory, hypothesis, label, lexicon))
 
 
 @dataclass

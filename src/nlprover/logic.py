@@ -4,7 +4,7 @@ and canonical forms.
 All values are immutable after construction and safe to share between
 concurrent tasks. A Clause is a plain carrier of literals; `canonicalize`
 produces the normal form used everywhere for duplicate and variant
-detection (literals deduplicated and sorted, variables renamed v1, v2, ...).
+detection (defined there, and exact at every width).
 
 The textual clause format is fixed: literals joined by " | ", negative
 literals prefixed "-", terms in prefix form, e.g.
@@ -17,7 +17,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Optional, Union
 
 
@@ -310,15 +309,6 @@ def _term_key(t: Term):
     return (2, t.name, tuple(_term_key(a) for a in t.args))
 
 
-def _term_key_abstract(t: Term):
-    # Variables indistinguishable: used to sort before renaming.
-    if isinstance(t, Var):
-        return (0,)
-    if isinstance(t, Const):
-        return (1, t.name)
-    return (2, t.name, tuple(_term_key_abstract(a) for a in t.args))
-
-
 def literal_key(lit: Literal):
     """Total order on literals: negative before positive, then predicate
     name, then argument structure."""
@@ -329,70 +319,89 @@ def literal_key(lit: Literal):
     )
 
 
-def _literal_key_abstract(lit: Literal):
-    return (
-        0 if not lit.positive else 1,
-        lit.pred,
-        tuple(_term_key_abstract(a) for a in lit.args),
-    )
-
-
-_MAX_PERMUTED_VARS = 6
-
 # Bound on the canonical-form cache (about 600 bytes an entry): room for the
 # clauses of a large saturation and of many small judgments besides.
 _CANONICAL_CACHE_SIZE = 1 << 15
 
 
+def _name_term(t: Term, names: dict, fresh: dict, free: list[Var]) -> Term:
+    if isinstance(t, Var):
+        v = names.get(t) or fresh.get(t)
+        if v is None:
+            v = fresh[t] = free[len(names) + len(fresh)]
+        return v
+    if isinstance(t, Func):
+        return Func(t.name, tuple(_name_term(a, names, fresh, free) for a in t.args))
+    return t
+
+
+def _swap_maps(new, old, lit: Literal, old_lit: Literal, rest) -> bool:
+    """Whether swapping the variables `new` with `old`, pairwise, maps `lit`
+    onto `old_lit` and the literals `rest` onto themselves."""
+    swap: dict = {}
+    for x, y in zip(new, old):
+        if swap.setdefault(x, y) != y or swap.setdefault(y, x) != x:
+            return False
+    if subst_literal(swap, lit) != old_lit:
+        return False
+    return {subst_literal(swap, l) for l in rest} == set(rest)
+
+
+def _least_form(lits: tuple[Literal, ...], n: int) -> tuple[Literal, ...]:
+    """The canonical form of the distinct literals `lits`, which hold `n`
+    variables. It names them by first occurrence, each taking the least name
+    left (as strings, v1 < v10 < v2), so it is built a literal at a time,
+    branching only among the literals of least key under the names given so
+    far. A branch is cut when its keys pass the best form's, or when a swap
+    of its new variables with a taken branch's maps its literal onto that
+    one's and the remaining literals onto themselves."""
+    free = sorted((Var(f"v{i}") for i in range(1, n + 1)), key=lambda v: v.name)
+    best: tuple[Literal, ...] = ()
+    best_keys: Optional[tuple] = None
+    stack = [((), (), {}, lits)]
+    while stack:
+        form, keys, names, rest = stack.pop()
+        if best_keys is not None and keys > best_keys[: len(keys)]:
+            continue
+        if not rest:
+            best, best_keys = form, keys
+            continue
+        steps = []
+        for lit in rest:
+            fresh: dict = {}
+            args = tuple(_name_term(a, names, fresh, free) for a in lit.args)
+            named = Literal(lit.positive, lit.pred, args)
+            steps.append((literal_key(named), named, lit, fresh))
+        least = min(step[0] for step in steps)
+        taken: list[tuple[Literal, dict]] = []
+        for key, named, lit, fresh in steps:
+            if key != least or any(
+                _swap_maps(fresh, old, lit, old_lit, rest) for old_lit, old in taken
+            ):
+                continue
+            taken.append((lit, fresh))
+            others = tuple(l for l in rest if l is not lit)
+            stack.append((form + (named,), keys + (key,), {**names, **fresh}, others))
+    return best
+
+
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
     lits = tuple(dict.fromkeys(literals))
-    seen: dict[Var, None] = {}
-    for lit in lits:
-        for a in lit.args:
-            for v in term_vars(a):
-                seen.setdefault(v)
-    vs = list(seen)
+    vs = clause_vars(Clause(lits))
     if not vs:
         return tuple(sorted(lits, key=literal_key))
-    if len(vs) <= _MAX_PERMUTED_VARS:
-        # Smallest sorted form over all renamings: true variant invariance.
-        best = None
-        best_key = None
-        for perm in permutations(range(1, len(vs) + 1)):
-            ren = {v: Var(f"v{i}") for v, i in zip(vs, perm)}
-            cand = tuple(
-                sorted(dict.fromkeys(subst_literal(ren, l) for l in lits), key=literal_key)
-            )
-            key = tuple(literal_key(l) for l in cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        assert best is not None
-        return best
-    # Fallback for absurdly wide clauses: rename by first occurrence in the
-    # variable-blind sort order, iterated to a fixpoint so the result is
-    # idempotent. Deterministic, but not fully variant-invariant.
-    current = tuple(lits)
-    for _ in range(8):
-        ordered = sorted(current, key=_literal_key_abstract)
-        ren: dict[Var, Var] = {}
-        for lit in ordered:
-            for a in lit.args:
-                for v in term_vars(a):
-                    if v not in ren:
-                        ren[v] = Var(f"v{len(ren) + 1}")
-        renamed = tuple(
-            sorted(dict.fromkeys(subst_literal(ren, l) for l in ordered), key=literal_key)
-        )
-        if renamed == current:
-            break
-        current = renamed
-    return current
+    if len(vs) == 1:
+        return tuple(sorted((subst_literal({vs[0]: Var("v1")}, l) for l in lits), key=literal_key))
+    return _least_form(lits, len(vs))
 
 
 def canonicalize(c: Clause) -> Clause:
-    """Deduplicate and sort literals, renaming variables to v1, v2, ... so
-    that two clauses are variants iff their canonical forms are identical."""
+    """The clause's canonical form: its literals deduplicated, with its n
+    variables renamed to v1, ..., vn by the renaming whose sorted form is
+    least, literals and forms compared by `literal_key`, and sorted. It holds
+    at every width: two clauses are variants iff their canonical forms are
+    identical."""
     return Clause(_canonical_literals(c.literals), c.id)
 
 

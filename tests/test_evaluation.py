@@ -15,8 +15,9 @@ from nlprover.evaluation import (
     score,
     vce_loss,
 )
-from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNSATISFIABLE, judge, refutation_target
+from nlprover.judge import FALSE, SATISFIABLE, TRUE, UNSATISFIABLE, judge, target_clauses
 from nlprover.language import to_sentence
+from nlprover.normalize import theory_set
 
 RULE = "-kind(v1) | -round(v1) | rough(v1)"
 
@@ -63,6 +64,11 @@ def test_check_step_is_symmetric():
 
 def test_check_step_accepts_variant_conclusions():
     assert check_step(("-kind(v1) | rough(v1)", "-rough(v2)"), "-kind(v7)")
+    # Seven variables: the conclusion is the resolvent renamed and reordered.
+    assert check_step(
+        ("-p(v7,v1) | p(v6,v2) | q(v3,v3) | -q(v5,v4) | -q(v5,v2) | r(a)", "-r(a)"),
+        "-q(v6,v7) | q(v2,v2) | -p(v1,v5) | -q(v6,v4) | p(v3,v7)",
+    )
 
 
 def test_check_step_accepts_factored_resolvent():
@@ -209,7 +215,7 @@ def test_check_proof_reads_the_targets_clauses(monkeypatch, stream):
         )
         assert check_proof(rec)
         [(theory, goals)] = made
-        target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+        target = theory_set(*target_clauses(inst.theory, inst.hypothesis, inst.label, lex))
         assert {c.literals for c in theory + goals} == {c.literals for c in target.clauses}
         seen.add(inst.label)
     assert seen == labels

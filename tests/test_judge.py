@@ -13,12 +13,18 @@ from nlprover.judge import (
     UNSATISFIABLE,
     check_sat,
     judge,
-    refutation_target,
+    target_clauses,
     tie_break,
 )
 from nlprover.language import DEFAULT_LEXICON, to_sentence
 from nlprover.logic import clause_to_str
-from nlprover.normalize import SkolemNamer, build_theory_sets, compile_clauses, to_clauses
+from nlprover.normalize import (
+    SkolemNamer,
+    build_theory_sets,
+    compile_clauses,
+    theory_set,
+    to_clauses,
+)
 
 LEX = DEFAULT_LEXICON
 
@@ -46,7 +52,7 @@ def test_judge_worked_example_is_true_with_three_steps():
     assert v.halt_t2 == HALT_EMPTY
 
 
-def test_refutation_target_maps_label_to_clause_set():
+def test_target_clauses_map_label_to_clause_set():
     h = to_sentence("Bob is not kind.", LEX).formula
     t1, t2 = build_theory_sets([s.formula for s in _sents(WORKED_THEORY)], h)
 
@@ -54,7 +60,7 @@ def test_refutation_target_maps_label_to_clause_set():
         return [clause_to_str(c) for c in tset.clauses], tset.supported
 
     def target(label, hypothesis="Bob is not kind."):
-        return strs(refutation_target(WORKED_THEORY, hypothesis, label, LEX))
+        return strs(theory_set(*target_clauses(WORKED_THEORY, hypothesis, label, LEX)))
 
     assert target(TRUE) == strs(t2)
     assert target(FALSE) == strs(t1)
@@ -198,8 +204,8 @@ def _clear_compile_memos():
     _clause_form.cache_clear()
 
 
-def _target_key(tset):
-    return [clause_to_str(c) for c in tset.clauses], sorted(tset.supported)
+def _target_key(theory, goals):
+    return [clause_to_str(c) for c in theory], [clause_to_str(c) for c in goals]
 
 
 @pytest.mark.parametrize("stream", sorted(GENERATED))
@@ -212,7 +218,7 @@ def test_warm_and_cold_compile_memos_decide_alike(stream):
         for cold in (False, True):
             if cold:
                 _clear_compile_memos()
-            target = refutation_target(inst.theory, inst.hypothesis, inst.label, lex)
+            target = target_clauses(inst.theory, inst.hypothesis, inst.label, lex)
             if cold:
                 _clear_compile_memos()
             sents = _sents(inst.theory, lex)
@@ -221,7 +227,7 @@ def test_warm_and_cold_compile_memos_decide_alike(stream):
                 decided = _verdict_key(v)
             else:
                 decided = _sat_key(check_sat(sents, lexicon=lex))
-            results.append((_target_key(target), decided))
+            results.append((_target_key(*target), decided))
         assert results[0] == results[1], inst.id
 
 

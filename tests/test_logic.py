@@ -1,7 +1,10 @@
 import random
-from itertools import product
+import time
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprover.logic import (
     MAX_TERM_DEPTH,
@@ -12,12 +15,16 @@ from nlprover.logic import (
     Literal,
     Var,
     canonical_key,
+    _canonical_literals,
     canonicalize,
     clause_to_str,
+    clause_vars,
     is_tautology,
+    literal_key,
     parse_clause,
     subst_clause,
     subst_literal,
+    term_vars,
     unify,
 )
 
@@ -139,21 +146,33 @@ def test_canonicalize_deduplicates():
 
 
 def _random_clause(rng):
-    vars_ = [Var(n) for n in ("x", "y", "z")]
+    # Each of 0-10 variables occurs: past the widths a search over every
+    # renaming could afford.
+    vars_ = [Var(f"x{i}") for i in range(rng.randint(0, 10))]
+    unplaced = rng.sample(vars_, len(vars_))
     consts = [Const("Bob"), Const("Alan")]
-    n = rng.randint(0, 4)
-    lits = tuple(
-        Literal(rng.random() < 0.5, rng.choice("pqr"),
-                tuple(_random_term(rng, vars_, consts) for _ in range(rng.randint(1, 2))))
-        for _ in range(n)
-    )
-    return Clause(lits)
+
+    def term():
+        if unplaced and rng.random() < 0.7:
+            return unplaced.pop()
+        return _random_term(rng, vars_ or consts, consts)
+
+    lits = []
+    n = rng.randint(0, 8)
+    while len(lits) < n or unplaced:
+        pred, arity = rng.choice((("p", 1), ("q", 2), ("r", 2)))
+        lits.append(Literal(rng.random() < 0.5, pred, tuple(term() for _ in range(arity))))
+    return Clause(tuple(lits))
 
 
 def test_canonicalize_is_idempotent_on_random_clauses():
     rng = random.Random(3)
-    for _ in range(500):
-        c = _random_clause(rng)
+    # Ten variables, so the names v1 < v10 < v2 sort otherwise than numbers.
+    wide = parse_clause(
+        "q(v0,v1) | -p(v2) | -p(v3) | -q(v7,v4) | -q(v8,v8) | q(v5,v8) | -q(v9,v6)"
+        " | q(v1,v3) | p(v3) | q(v2,v7)"
+    )
+    for c in [wide] + [_random_clause(rng) for _ in range(500)]:
         once = canonicalize(c)
         assert canonicalize(once) == once
 
@@ -165,7 +184,100 @@ def test_variants_share_canonical_form():
         names = list({v.name for l in c.literals for a in l.args for v in _vars_of(a)})
         ren = {Var(n): Var(f"u{i}") for i, n in enumerate(rng.sample(names, len(names)))}
         renamed = subst_clause(ren, c)
-        assert canonical_key(c) == canonical_key(renamed)
+        shuffled = Clause(tuple(rng.sample(renamed.literals, len(renamed.literals))))
+        assert canonical_key(c) == canonical_key(shuffled)
+
+
+def _ref_canonical_literals(literals):
+    # The permutation search that gave the canonical form of a clause with
+    # at most 6 variables before the exact search, verbatim but for the
+    # assert on the width: the smallest literal_key-sorted form over every
+    # renaming to v1, ..., vn.
+    lits = tuple(dict.fromkeys(literals))
+    seen = {}
+    for lit in lits:
+        for a in lit.args:
+            for v in term_vars(a):
+                seen.setdefault(v)
+    vs = list(seen)
+    if not vs:
+        return tuple(sorted(lits, key=literal_key))
+    assert len(vs) <= 6
+    best = None
+    best_key = None
+    for perm in permutations(range(1, len(vs) + 1)):
+        ren = {v: Var(f"v{i}") for v, i in zip(vs, perm)}
+        cand = tuple(
+            sorted(dict.fromkeys(subst_literal(ren, l) for l in lits), key=literal_key)
+        )
+        key = tuple(literal_key(l) for l in cand)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    assert best is not None
+    return best
+
+
+_PREDICATES = (("p", 1), ("q", 2), ("r", 2))
+
+
+@st.composite
+def _literal_tuples(draw, max_vars):
+    # Binary predicates, constants and function terms over 0 to max_vars
+    # variables, each of which occurs.
+    vars_ = [Var(f"x{i}") for i in range(draw(st.integers(0, max_vars)))]
+    unplaced = list(vars_)
+
+    def term(depth=0):
+        roll = draw(st.integers(0, 9))
+        if roll < 6 and vars_:
+            return unplaced.pop() if unplaced else draw(st.sampled_from(vars_))
+        if roll < 9 or depth == 2:
+            return draw(st.sampled_from([Const("a"), Const("b")]))
+        args = tuple(term(depth + 1) for _ in range(draw(st.integers(1, 2))))
+        return Func(draw(st.sampled_from("fg")), args)
+
+    literals = []
+    n = draw(st.integers(0, 8))
+    while len(literals) < n or unplaced:
+        positive, (pred, arity) = draw(st.booleans()), draw(st.sampled_from(_PREDICATES))
+        literals.append(Literal(positive, pred, tuple(term() for _ in range(arity))))
+    return tuple(literals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_literal_tuples(6))
+def test_canonical_form_matches_permutation_reference(literals):
+    assert _canonical_literals(literals) == _ref_canonical_literals(literals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_literal_tuples(10), st.data())
+def test_canonical_form_is_idempotent_and_variant_invariant(literals, data):
+    form = _canonical_literals(literals)
+    assert _canonical_literals(form) == form
+    vs = clause_vars(Clause(literals))
+    # New names that are canonical names too, in a drawn order.
+    names = data.draw(st.permutations([Var(f"v{i}") for i in range(1, len(vs) + 1)]))
+    variant = [subst_literal(dict(zip(vs, names)), l) for l in literals]
+    assert _canonical_literals(tuple(data.draw(st.permutations(variant)))) == form
+
+
+@pytest.mark.parametrize(
+    "literals",
+    [
+        [lit(True, "p", Var(f"x{i}")) for i in range(1, 13)],
+        [lit(False, "q", Var(f"x{i}"), Var(f"x{i % 10 + 1}")) for i in range(1, 11)],
+    ],
+    ids=["unary-12", "cycle-10"],
+)
+def test_canonical_form_of_wide_symmetric_clauses_is_quick(literals):
+    # Every literal ties with every other at the first step, so a search
+    # that tried every order of the n literals would take n! steps.
+    start = time.perf_counter()
+    form = _canonical_literals.__wrapped__(tuple(literals))
+    assert time.perf_counter() - start < 1.0
+    assert len(form) == len(literals)
+    assert _canonical_literals.__wrapped__(tuple(literals[1:] + literals[:1])) == form
 
 
 def test_clause_serialization_round_trip():
