@@ -39,9 +39,9 @@ the empty clause as (premise, premise, conclusion) triples; `refute` alone
 renders that derivation as proof steps, with the clause renderer it is
 given, and builds the result. `refute` leaves its theory set unchanged, so
 a second call on the same set gives the same answer. A proof names each
-clause by an id: the inputs keep theirs, and each resolvent the search
-reaches is numbered on from the last input id in the order it was first
-reached.
+clause by an id, given as the proof is rendered: the inputs keep theirs,
+and the k-th clause the derivation derives is last input id + k. So the
+ids follow from the proof alone; neither search numbers its clauses.
 
 A pair of clauses is resolved only when some literal of one has the same
 predicate as, and the opposite sign of, a literal of the other; the loop
@@ -241,10 +241,10 @@ def inferences(c1: Clause, c2: Clause) -> Iterator[Clause]:
 class ProofStep:
     """One resolution step in clause text and in natural language.
 
-    `premise_ids` and `conclusion_id` are the ids the search gave the
-    clauses: an input keeps its id in the theory set, and a resolvent is
-    numbered on from the inputs. No stored record carries that set, so they
-    take no part in equality and are not serialized.
+    `premise_ids` and `conclusion_id` are the ids `refute` gives: an input
+    keeps its id in the theory set, and the k-th clause the proof derives
+    is last input id + k. No stored record carries that set, so they take
+    no part in equality and are not serialized.
     """
 
     premises_fol: tuple[str, str]
@@ -312,15 +312,26 @@ def format_proof(steps: list[ProofStep]) -> list[str]:
 _Derivation = tuple[Clause, Clause, Clause]
 
 
-def _make_step(render: Callable[[Clause], str], a: Clause, b: Clause, concl: Clause) -> ProofStep:
-    return ProofStep(
-        premises_fol=(clause_to_str(a), clause_to_str(b)),
-        premises_nl=(render(a), render(b)),
-        conclusion_fol=clause_to_str(concl),
-        conclusion_nl=render(concl),
-        premise_ids=(a.id, b.id),
-        conclusion_id=concl.id,
-    )
+def _proof_steps(
+    tset: TheorySet, derivation: list[_Derivation], render: Callable[[Clause], str]
+) -> list[ProofStep]:
+    """The derivation as proof steps, its clauses numbered by canonical
+    form: an input keeps its id, and so does a conclusion equal to one; the
+    k-th clause the derivation derives is numbered last input id + k."""
+    ids = {c.literals: c.id for c in tset.clauses}
+    for _, _, concl in derivation:
+        ids.setdefault(concl.literals, len(ids) + 1)
+    return [
+        ProofStep(
+            premises_fol=(clause_to_str(a), clause_to_str(b)),
+            premises_nl=(render(a), render(b)),
+            conclusion_fol=clause_to_str(concl),
+            conclusion_nl=render(concl),
+            premise_ids=(ids[a.literals], ids[b.literals]),
+            conclusion_id=ids[concl.literals],
+        )
+        for a, b, concl in derivation
+    ]
 
 
 def refute(
@@ -336,16 +347,15 @@ def refute(
     a derivation, and only this function renders one as proof steps:
     `render` gives each step's natural-language side, and it is called for
     the clauses of the returned proof alone (`judge.nl_renderer` renders
-    template English; the default repeats the clause text)."""
+    template English; the default repeats the clause text). An empty set
+    is not refuted, with no_valid_pair."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not tset.clauses:
-        raise ValueError("empty theory set")
     if strategy == UNRESTRICTED:
         halt, steps, derivation = _given_clause_loop(tset, tset.clauses, [], budget)
     else:
         halt, steps, derivation = _refute_sos_linear(tset, budget)
-    proof = [_make_step(render, *d) for d in derivation]
+    proof = _proof_steps(tset, derivation, render)
     return RefutationResult(halt == HALT_EMPTY, steps, proof, halt)
 
 
@@ -362,8 +372,8 @@ def _given_clause_loop(
     every usable clause holding a complementary literal, in usable order,
     then with itself, and makes it usable. Each resolvent and each of its
     factors is a candidate. One whose canonical form is new and that no
-    input or accepted clause subsumes is accepted, numbered on from the
-    theory set's last id and queued. A subsumed candidate is dropped, and a
+    input or accepted clause subsumes is accepted, logged with its
+    premises and queued. A subsumed candidate is dropped, and a
     subsumer from `start_usable` that was never queued is queued (it is
     usable already, so it is not made usable twice); without that promotion
     the support restriction would lose the refutations that go through the
@@ -374,9 +384,8 @@ def _given_clause_loop(
     derivation of the empty clause (empty unless it was reached).
     """
     seen = {c.literals for c in tset.clauses}
-    first_id = len(tset.clauses) + 1
-    # One entry per accepted resolvent, keyed by its id.
-    by_conclusion: dict[int, _Derivation] = {}
+    # One entry per accepted resolvent, by its literals, in acceptance order.
+    by_conclusion: dict[tuple[Literal, ...], _Derivation] = {}
     pending = deque(queue)
     usable: list[Clause] = []
     # (predicate, polarity) -> ascending positions in `usable` of the
@@ -435,12 +444,11 @@ def _given_clause_loop(
                         promoted.add(s.id)
                         pending.append(s)
                     continue
-                stored = Clause(cand.literals, first_id + len(by_conclusion))
-                by_conclusion[stored.id] = (given, other, stored)
-                if stored.is_empty:
-                    return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion, stored.id)
-                pending.append(stored)
-                add_subsumer(stored)
+                by_conclusion[cand.literals] = (given, other, cand)
+                if cand.is_empty:
+                    return HALT_EMPTY, len(by_conclusion), _extract(by_conclusion)
+                pending.append(cand)
+                add_subsumer(cand)
         if given.id not in promoted:
             make_usable(given)
     return (HALT_SATURATED if by_conclusion else HALT_NO_PAIR), len(by_conclusion), []
@@ -482,19 +490,19 @@ def _ground_decision(theory: list[Clause], goals: list[Clause]) -> Optional[bool
         return None
 
 
-def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
-    """Derivation of the empty clause: walk premise ids back through the
-    step log, then order by conclusion id."""
-    needed: dict[int, _Derivation] = {}
-    stack = [empty_id]
+def _extract(by_conclusion: dict[tuple[Literal, ...], _Derivation]) -> list[_Derivation]:
+    """Derivation of the empty clause: walk the premises back through the
+    step log by their literals, and keep the steps reached in log order."""
+    needed = set()
+    stack = [()]
     while stack:
-        cid = stack.pop()
-        d = by_conclusion.get(cid)
-        if d is None or cid in needed:
+        key = stack.pop()
+        d = by_conclusion.get(key)
+        if d is None or key in needed:
             continue
-        needed[cid] = d
-        stack.extend((d[0].id, d[1].id))
-    return [needed[cid] for cid in sorted(needed)]
+        needed.add(key)
+        stack.extend((d[0].literals, d[1].literals))
+    return [d for key, d in by_conclusion.items() if key in needed]
 
 
 # Resource guard for the backtracking search: pathological inputs could make
@@ -505,10 +513,6 @@ _WORK_LIMIT = 50_000
 # Cap on the resolvents the saturation pre-check accepts; past it the
 # pre-check is inconclusive and the deepening search decides.
 _SATURATE_CAP = 20_000
-
-
-def _size_id(c: Clause) -> tuple[int, Optional[int]]:
-    return len(c.literals), c.id
 
 
 class _Frame(NamedTuple):
@@ -528,15 +532,16 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     recovers a shortest-length chain, with every clause as a side.
     Past the work limit the loop's derivation answers instead, when it fits
     the budget; that derivation is a DAG, not a linear chain.
-    A chain clause's sides are taken in (length, id) order: the inputs,
-    sorted once and found through a (predicate, polarity) index, and the
-    ancestors, each only when it holds a literal the chain clause can clash
-    with, since no other side has an inference. The candidates are made
-    side by side as the search tries them, and each (chain clause, side)
-    pair's inferences are kept for the rest of the call, so a pair that a
-    later level or goal revisits is not resolved again. Only two units
-    resolve to the empty clause and factoring never empties one, so an
-    empty inference, when a clause has one, is its first candidate.
+    A chain clause's sides are taken shortest first, by a stable sort: the
+    inputs in id order, found through a (predicate, polarity) index, then
+    the ancestors in chain order, each only when it holds a literal the
+    chain clause can clash with, since no other side has an inference. The
+    candidates are made side by side as the search tries them, and each
+    (chain clause, side) pair's inferences are kept for the rest of the
+    call, so a pair that a later level or goal revisits is not resolved
+    again. Only two units resolve to the empty clause and factoring never
+    empties one, so an empty inference, when a clause has one, is its first
+    candidate.
 
     Returns the halt reason, the length of the derivation found (0 when
     none was) and that derivation of the empty clause.
@@ -546,7 +551,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     # The pre-check leaves out the clauses no refutation can use; when that
     # is every goal, nothing is refutable. The deepening search keeps them:
-    # leaving them out there would renumber the resolvents it prints.
+    # leaving them out there would move its work count, and so its fallback.
     kept = _without_pure(tset.clauses)
     kept_goals = [c for c in kept if tset.is_supported(c.id)]
     if not kept_goals:
@@ -565,12 +570,10 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
         if halt in (HALT_SATURATED, HALT_NO_PAIR):
             return HALT_NO_PAIR, 0, []
 
-    # Every clause reached, by canonical form: the inputs, then the resolvents
-    # numbered on in first-reach order over all levels and goals.
-    reached = {c.literals: c for c in tset.clauses}
-    # The inputs in (length, id) order, and (predicate, polarity) -> the
-    # ascending positions there of the inputs holding such a literal.
-    inputs = sorted(tset.clauses, key=_size_id)
+    # The inputs shortest first, in id order among equals, and (predicate,
+    # polarity) -> the ascending positions there of the inputs holding such
+    # a literal.
+    inputs = sorted(tset.clauses, key=lambda c: len(c.literals))
     index: dict[tuple[str, bool], list[int]] = {}
     for pos, c in enumerate(inputs):
         for key in {(l.pred, l.positive) for l in c.literals}:
@@ -578,10 +581,6 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
     # (chain clause literals, side literals) -> the pair's inferences, which
     # depend on the literals alone; a pair is resolved once per call.
     memo: dict[tuple[tuple[Literal, ...], tuple[Literal, ...]], tuple[Clause, ...]] = {}
-
-    def reach(res: Clause) -> Clause:
-        new = Clause(res.literals, len(reached) + 1)
-        return reached.setdefault(res.literals, new)
 
     def candidates(clause: Clause, sides: list[Clause]) -> Iterator[tuple[Clause, Clause]]:
         for s in sides:
@@ -593,12 +592,12 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
                 yield s, r
 
     # chain clause literals -> its (predicate, polarity) pairs, the pairs it
-    # can clash with, and the inputs holding one of those, in (length, id) order
+    # can clash with, and the inputs holding one of those, in `inputs` order
     partners: dict[tuple[Literal, ...], tuple[frozenset, frozenset, list[Clause]]] = {}
 
     def push(chain: list[_Frame], clause: Clause, step: Optional[_Derivation]) -> None:
-        """Put `clause` on the chain, with its sides in (length, id) order:
-        the inputs and the ancestors (itself included, unless it is the goal)
+        """Put `clause` on the chain, with its sides shortest first: the
+        inputs and the ancestors (itself included, unless it is the goal)
         that hold a literal it can clash with. The others resolve to nothing."""
         got = partners.get(clause.literals)
         if got is None:
@@ -611,8 +610,9 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
         if chain and not wanted.isdisjoint(signs):
             clashing.append(clause)
         if clashing:
-            # stable: an input stays ahead of its own copy on the chain
-            sides = sorted(sides + clashing, key=_size_id)
+            # stable: among equal lengths the inputs stay in id order, and
+            # ahead of the ancestors, which stay in chain order
+            sides = sorted(sides + clashing, key=lambda c: len(c.literals))
         chain.append(_Frame(clause, signs, step, candidates(clause, sides)))
 
     work = 0
@@ -628,7 +628,7 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
                     ((s, r) for s, r in top.untried if r.literals not in path_keys), (None, None)
                 )
                 if res is not None and res.is_empty:
-                    steps = [f.step for f in chain[1:]] + [(top.clause, side, reach(res))]
+                    steps = [f.step for f in chain[1:]] + [(top.clause, side, res)]
                     return HALT_EMPTY, len(steps), steps
                 if res is None or len(chain) >= limit:
                     truncated = truncated or res is not None
@@ -643,9 +643,8 @@ def _refute_sos_linear(tset: TheorySet, budget: int) -> tuple[str, int, list[_De
                     if 0 < len(derivation) <= budget:
                         return HALT_EMPTY, len(derivation), derivation
                     return HALT_BUDGET, 0, []
-                stored = reach(res)
-                path_keys.add(stored.literals)
-                push(chain, stored, (top.clause, side, stored))
+                path_keys.add(res.literals)
+                push(chain, res, (top.clause, side, res))
         if not truncated:
             # every chain bottomed out before the depth limit: deepening
             # further cannot help

@@ -244,6 +244,46 @@ def test_sat_command(capsys, tmp_path):
     assert "Satisfiable" in out
 
 
+def test_tautology_only_theory_leaves_an_empty_side(capsys, tmp_path):
+    # The theory compiles to no clause, and so does the hypothesis, so sat's
+    # set and prove's T2 (theory plus hypothesis) are empty: not refuted.
+    p = tmp_path / "t.txt"
+    p.write_text("Everyone is kind or not kind.\n")
+    code, out, err = run(capsys, "sat", "--theory", str(p))
+    assert (code, out, err) == (0, "status: Satisfiable (no_valid_pair, 0 steps)\n", "")
+    code, out, _ = run(capsys, "sat", "--theory", str(p), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "Satisfiable", "steps_used": 0, "halt_reason": "no_valid_pair", "proof": []
+    }
+    prove = ("prove", "--theory", str(p), "--hypothesis", "Everyone is round or not round.")
+    code, out, err = run(capsys, *prove)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:3] == [
+        "label: True", "steps_T1: 0 (no_valid_pair)", "steps_T2: 1 (empty_clause)"
+    ]
+    code, out, _ = run(capsys, *prove, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["label"], payload["halt_t1"]) == ("True", "no_valid_pair")
+
+
+def test_derived_clause_ids_run_on_from_the_inputs(capsys, tmp_path):
+    # The inputs are [1]-[3]; the loop accepts more resolvents than the
+    # proof uses, and the proof's two derived clauses are [4] and [5].
+    p = tmp_path / "t.txt"
+    p.write_text("Bob is kind.\nIf someone is kind then they are round.\n")
+    code, out, _ = run(
+        capsys, "prove", "--strategy", "unrestricted", "--theory", str(p),
+        "--hypothesis", "Someone is round.",
+    )
+    assert code == 0
+    assert [line.split(" ;; ")[0] for line in out.splitlines() if line.startswith("STEP")] == [
+        "STEP 1: [2] -kind(v1) | round(v1) | [1] kind(Bob) => [4] round(Bob)",
+        "STEP 2: [4] round(Bob) | [3] -round(v1) => [5] []",
+    ]
+
+
 def test_gen_is_byte_identical_across_runs(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out_path in (a, b):

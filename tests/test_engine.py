@@ -24,9 +24,8 @@ from nlprover.engine import (
     RefutationResult,
     TheorySet,
     _Derivation,
-    _extract,
     _given_clause_loop,
-    _make_step,
+    _proof_steps,
     _renamed_literals,
     factor,
     factor_closure,
@@ -309,14 +308,16 @@ def test_refute_leaves_recursion_limit_alone():
 
 
 # SHA-256 of the proof text below, ids included, one per strategy. The
-# sos-linear pin is the text the recursive deepening search printed when it
-# stored every reached clause in the theory set; the unrestricted pin is the
-# text of the given-clause loop with forward subsumption. Instance records
-# and bench digests carry no ids, so these pin the order in which each
-# search numbers the clauses it reaches.
+# sos-linear pin is the text of the deepening search's chains (and of the
+# given-clause loop's derivation where it passes the work limit); the
+# unrestricted pin is the text of the given-clause loop with forward
+# subsumption. Instance records and bench digests carry no ids, so these
+# pin the proofs each search finds together with `refute`'s numbering of
+# them: inputs keep their ids, and the k-th derived clause is last input
+# id + k.
 _PROOF_TEXT_SHA256 = {
-    SOS_LINEAR: "a91993db107e4dde01bcbcaf0597975ff39153e48bd7ecf07760b0a98ffbfe89",
-    UNRESTRICTED: "01485234fe9e0588c414a1e694e0e6b8162d3ab9f3ac79a3dd534e89bef2f658",
+    SOS_LINEAR: "1e514ef9ca1616708fb5bde71683a3faa1b980e2b7ab28ac94a9c00fb428985d",
+    UNRESTRICTED: "41ba1ee3a6ce8ad28fef8e73d327e4a94e19fbb53fb6baf2c0cd45f99e6c2905",
 }
 
 
@@ -338,6 +339,43 @@ def test_proof_text_with_ids_is_pinned(strategy):
         lines = [" ".join(map(str, head)), *format_proof(v.proof)]
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == _PROOF_TEXT_SHA256[strategy]
+
+
+def _assert_ids_follow_the_proof(tset, proof):
+    # Inputs keep their ids, a conclusion equal to an input keeps that
+    # input's id, the other conclusions are numbered n+1, n+2, ... in proof
+    # order (n inputs), and each premise id names an input or an earlier
+    # conclusion with the premise's text.
+    inputs = {c.id: clause_to_str(c) for c in tset.clauses}
+    known = dict(inputs)
+    for step in proof:
+        assert [known.get(i) for i in step.premise_ids] == list(step.premises_fol)
+        if step.conclusion_id in inputs:
+            assert inputs[step.conclusion_id] == step.conclusion_fol
+        else:
+            assert step.conclusion_fol not in known.values()
+            assert step.conclusion_id == len(known) + 1
+            known[step.conclusion_id] = step.conclusion_fol
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_proof_ids_follow_the_proof_on_generated_instances(strategy):
+    pools = (
+        islice(generate(GenConfig(seed=1)), 40),
+        islice(
+            generate(GenConfig(seed=3, n_entities=2, n_attributes=4, allow_existential=True)), 20
+        ),
+    )
+    derived = 0
+    for inst in (i for pool in pools for i in pool):
+        lex = inst.lexicon()
+        sents = [to_sentence(t, lex).formula for t in inst.theory]
+        h = to_sentence(inst.hypothesis, lex).formula
+        for tset in build_theory_sets(sents, h):
+            result = refute(tset, strategy=strategy, budget=300)
+            _assert_ids_follow_the_proof(tset, result.proof)
+            derived += len(result.proof)
+    assert derived >= 50
 
 
 def test_verdicts_do_not_depend_on_the_memo_history():
@@ -411,8 +449,11 @@ def test_proof_steps_are_entailed_by_their_premises():
 def test_refute_rejects_bad_inputs():
     import pytest
 
-    with pytest.raises(ValueError):
-        refute(TheorySet(), strategy=SOS_LINEAR)
+    # An empty set is not refuted; it is no input error.
+    for strategy in STRATEGIES:
+        result = refute(TheorySet(), strategy=strategy)
+        assert (result.refuted, result.steps_used, result.proof) == (False, 0, [])
+        assert result.halt_reason == HALT_NO_PAIR
     t = TheorySet()
     t.add(KIND_BOB)
     with pytest.raises(ValueError):
@@ -589,15 +630,32 @@ def test_only_two_units_infer_the_empty_clause(pair):
 
 # The unrestricted search before it became the given-clause loop with every
 # clause queued, kept verbatim but for the kernel call, which now returns
-# the resolvents alone. It stored resolvents in the theory set and tried
-# factors only of new resolvents.
+# the resolvents alone, and for its proof, which it renders as `refute`
+# does, from a copy of the set taken before it stored anything. It stored
+# resolvents in the theory set and tried factors only of new resolvents.
 
 
 class _BudgetExhausted(Exception):
     pass
 
 
+def _extract(by_conclusion: dict[int, _Derivation], empty_id: int) -> list[_Derivation]:
+    """Derivation of the empty clause: walk premise ids back through the
+    step log, then order by conclusion id."""
+    needed: dict[int, _Derivation] = {}
+    stack = [empty_id]
+    while stack:
+        cid = stack.pop()
+        d = by_conclusion.get(cid)
+        if d is None or cid in needed:
+            continue
+        needed[cid] = d
+        stack.extend((d[0].id, d[1].id))
+    return [needed[cid] for cid in sorted(needed)]
+
+
 def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
+    inputs = tset.copy()
     # One entry per accepted step, keyed by the id of its new conclusion.
     by_conclusion: dict[int, _Derivation] = {}
     usable: list[Clause] = []
@@ -624,7 +682,7 @@ def _ref_refute_unrestricted(tset: TheorySet, budget: int) -> RefutationResult:
                         continue
                     if stored.is_empty:
                         derivation = _extract(by_conclusion, stored.id)
-                        proof = [_make_step(clause_to_str, *d) for d in derivation]
+                        proof = _proof_steps(inputs, derivation, clause_to_str)
                         return RefutationResult(True, len(by_conclusion), proof, HALT_EMPTY)
                     queue.append(stored)
                     for fc in factor_closure(stored):
@@ -722,8 +780,11 @@ def test_unrestricted_decides_like_oracle(clauses):
 # The sos-linear search before its deepening ran on an explicit stack, kept
 # verbatim but for the kernel call and its two limits, which are passed in.
 # The recursive descent stored every clause it reached in the theory set,
-# marked supported, so proof ids came from the set. Its pre-check has since
-# changed four times, and the reference follows: the pre-check drops
+# marked supported, and ordered a clause's sides by (length, id), so an
+# ancestor ranks by the order in which it was first reached. Its proofs are
+# rendered as `refute` renders them, from a copy of the set taken before
+# the descent stored anything. Its pre-check has since changed four times,
+# and the reference follows: the pre-check drops
 # subsumed candidates, its derivation answers when the descent passes the
 # work limit, if it fits the budget, it leaves out the clauses that hold a
 # pure literal (prune=False runs it on every clause, as before), and a
@@ -763,6 +824,7 @@ def _ref_without_pure(clauses):
 
 
 def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap, prune=True):
+    given_set = tset.copy()
     goals = [c for c in tset.clauses if tset.is_supported(c.id)]
     pre = _ref_without_pure(tset.clauses) if prune else tset.clauses
     pre_goals = [c for c in pre if tset.is_supported(c.id)]
@@ -823,11 +885,11 @@ def _ref_refute_sos_linear(tset, budget, work_limit, saturate_cap, prune=True):
             trail.clear()
             try:
                 if descend(goal, {goal.literals}, [], limit):
-                    proof = [_make_step(clause_to_str, *d) for d in trail]
+                    proof = _proof_steps(given_set, trail, clause_to_str)
                     return RefutationResult(True, len(trail), proof, HALT_EMPTY)
             except _BudgetExhausted:
                 if derivation and len(derivation) <= budget:
-                    proof = [_make_step(clause_to_str, *d) for d in derivation]
+                    proof = _proof_steps(given_set, derivation, clause_to_str)
                     return RefutationResult(True, len(proof), proof, HALT_EMPTY)
                 return RefutationResult(False, 0, [], HALT_BUDGET)
         if not state["truncated"]:
@@ -930,6 +992,44 @@ def test_sos_linear_matches_recursive_reference_on_chains(entries, budget, small
         assert _outcome(got) == _outcome(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _chain_sets(),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    _clauses(min_size=1, max_size=2),
+                    _template_clauses(False, max_size=2),
+                    _template_clauses(True, max_size=2),
+                ),
+                st.booleans(),
+            ),
+            min_size=3,
+            max_size=12,
+        ),
+    ),
+    st.integers(0, 12),
+    st.integers(0, 30),
+)
+def test_proof_ids_follow_the_proof_on_drawn_sets(entries, budget, small_limit):
+    # The reference tests' drawn sets, under both strategies; sos-linear at
+    # the real work limit and at a small one, where the loop's derivation
+    # answers.
+    t = TheorySet()
+    for c, supported in entries:
+        t.add(c, supported=supported)
+    runs = [(UNRESTRICTED, engine._WORK_LIMIT, 10 * budget)]
+    runs += [(SOS_LINEAR, limit, budget) for limit in (engine._WORK_LIMIT, small_limit)]
+    for strategy, work_limit, steps in runs:
+        with mock.patch.object(engine, "_WORK_LIMIT", work_limit), mock.patch.object(
+            engine, "_SATURATE_CAP", 200
+        ):
+            result = refute(t, strategy=strategy, budget=steps)
+        event(f"{strategy} refuted: {result.refuted}")
+        _assert_ids_follow_the_proof(t, result.proof)
+
+
 # A function-free clause of one or two literals whose first literal is
 # made positive: a set of these is satisfied by making every atom true.
 _POSITIVE_CLAUSES = _function_free_clauses().map(
@@ -1017,10 +1117,10 @@ def test_sos_linear_chain_clause_resolves_with_itself():
     assert (result.refuted, result.steps_used) == (True, 5)
     assert [line.split(" ;; ")[0] for line in format_proof(result.proof)] == [
         "STEP 1: [1] -p(v1) | p(f(v1)) | q(v1) | [2] -q(v1) => [5] -p(v1) | p(f(v1))",
-        "STEP 2: [5] -p(v1) | p(f(v1)) | [5] -p(v1) | p(f(v1)) => [11] -p(v1) | p(f(f(v1)))",
-        "STEP 3: [11] -p(v1) | p(f(f(v1))) | [3] p(a) => [18] p(f(f(a)))",
-        "STEP 4: [18] p(f(f(a))) | [11] -p(v1) | p(f(f(v1))) => [53] p(f(f(f(f(a)))))",
-        "STEP 5: [53] p(f(f(f(f(a))))) | [4] -p(f(f(f(f(a))))) => [54] []",
+        "STEP 2: [5] -p(v1) | p(f(v1)) | [5] -p(v1) | p(f(v1)) => [6] -p(v1) | p(f(f(v1)))",
+        "STEP 3: [6] -p(v1) | p(f(f(v1))) | [3] p(a) => [7] p(f(f(a)))",
+        "STEP 4: [7] p(f(f(a))) | [6] -p(v1) | p(f(f(v1))) => [8] p(f(f(f(f(a)))))",
+        "STEP 5: [8] p(f(f(f(f(a))))) | [4] -p(f(f(f(f(a))))) => [9] []",
     ]
 
 
@@ -1363,8 +1463,8 @@ def test_subsuming_precheck_decides_like_reference_saturation(entries):
     if halt != HALT_BUDGET:
         assert (halt == HALT_EMPTY) == (not oracle_sat(t.clauses))
     # the derivation cites inputs and earlier conclusions only
-    known = {c.id: c for c in t.clauses}
+    known = {c.literals for c in t.clauses}
     for a, b, concl in derivation:
-        assert known.get(a.id) == a and known.get(b.id) == b
+        assert a.literals in known and b.literals in known
         assert concl.literals in {r.literals for r in inferences(a, b)}
-        known[concl.id] = concl
+        known.add(concl.literals)
